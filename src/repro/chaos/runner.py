@@ -175,25 +175,16 @@ def _engine_params(spec: ChaosSpec) -> EngineParams:
     spec's ``rel_rto_ceiling_us`` — the drill's fabric, not a switched
     datacenter, sizes the cold-start RTO); everything else stays
     identical, so an adaptive run differs from its static twin only in
-    how deadlines are derived — the fault schedule is the same.
+    how deadlines are derived — the fault schedule is the same.  Only the
+    estimator reads the ceiling, so a static run keeps the engine default.
     """
-    if spec.adaptive:
-        return EngineParams(
-            reliability="ack",
-            flow_control="credit",
-            sessions="epoch",
-            rel_timeout_us="auto",
-            rel_rto_ceiling_us=spec.rel_rto_ceiling_us,
-            rel_ack_delay_us=10.0,
-            rel_retry_budget=spec.rel_retry_budget,
-            hb_interval_us=spec.hb_interval_us,
-            hb_timeout_us=spec.hb_timeout_us,
-        )
     return EngineParams(
         reliability="ack",
         flow_control="credit",
         sessions="epoch",
-        rel_timeout_us=spec.rel_timeout_us,
+        rel_timeout_us="auto" if spec.adaptive else spec.rel_timeout_us,
+        rel_rto_ceiling_us=(spec.rel_rto_ceiling_us if spec.adaptive
+                            else EngineParams.rel_rto_ceiling_us),
         rel_ack_delay_us=10.0,
         rel_retry_budget=spec.rel_retry_budget,
         hb_interval_us=spec.hb_interval_us,

@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run host-side wall-clock microbenchmarks of the engine")
     perf.add_argument("--quick", action="store_true",
                       help="short runs (CI smoke; noisier numbers)")
-    perf.add_argument("--out", default="BENCH_perf.json", metavar="PATH",
-                      help="where to write the JSON payload "
-                           "(default: BENCH_perf.json)")
+    perf.add_argument("--out", default=None, metavar="PATH",
+                      help="where to write the JSON payload (default: "
+                           "BENCH_perf.json, or nowhere with --check)")
     perf.add_argument("--backlog", type=int, default=1000,
                       help="held window depth for the window-ops bench")
     perf.add_argument("--scale-nodes", type=int, default=256,
@@ -335,7 +335,7 @@ def _report_payload(args, pair, messages, stalled) -> dict:
             "rtt": (adaptive_summary(engine.rtt.snapshot())
                     if engine.rtt is not None else {}),
             "rails_ok": [r for r in range(len(engine.node.nics))
-                         if engine.reliability.rail_ok(r)],
+                         if engine.transfer.rail_ok(r)],
         })
     return {
         "config": {
@@ -681,8 +681,10 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         payload = run_suite(quick=args.quick, backlog=args.backlog,
                             scale_nodes=args.scale_nodes)
         _print(out, render_perf(payload))
-        path = write_bench(payload, args.out)
-        _print(out, f"wrote {path}")
+        # A gate run is read-only unless asked to keep the fresh payload.
+        out_path = args.out or (None if args.check else "BENCH_perf.json")
+        if out_path is not None:
+            _print(out, f"wrote {write_bench(payload, out_path)}")
         if baseline is not None:
             failures = check_bench(payload, baseline)
             if failures:

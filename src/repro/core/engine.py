@@ -4,6 +4,11 @@ Instantiate one :class:`NmadEngine` per cluster node; engines communicate
 exclusively through simulated frames (no shared Python state), exactly like
 separate processes on separate hosts.
 
+The opt-in hardening layers (reliability, flow control, sessions) are
+built only when :class:`EngineParams` turns them on, and wired between
+the transfer layer and the NICs in :meth:`NmadEngine._wire_layers` — the
+one place that states their transmit and receive orders.
+
 The native interface is deliberately small, mirroring the operations
 MAD-MPI maps onto (paper §3.4): :meth:`NmadEngine.isend`,
 :meth:`NmadEngine.irecv`, and the request handles' completion events for
@@ -24,6 +29,9 @@ from repro.core.matching import Incoming, Matcher
 from repro.core.packet import (
     CancelItem, HeaderSpec, PacketWrap, RdvReqItem, SegItem,
 )
+from repro.core.peerlayer import (
+    PeerLayer, ReceiveHop, SendHop, TimerService,
+)
 from repro.core.reliability import ReliabilityLayer
 from repro.core.rendezvous import RendezvousManager
 from repro.core.requests import ANY, RecvRequest, SendRequest
@@ -40,7 +48,23 @@ from repro.netsim.profiles import NicProfile
 from repro.sim import Event, Tracer
 from repro.sim.core import Watchdog
 
-__all__ = ["EngineParams", "EngineStats", "NmadEngine"]
+__all__ = ["EngineParams", "EngineStats", "NmadEngine", "RX_ORDER",
+           "TX_ORDER"]
+
+#: Transmit order of the opt-in layers, from the transfer layer down to
+#: the NIC; each entry is an ``NmadEngine`` attribute whose ``send`` is
+#: the hop.  Flow control stamps its grant first.  The session gate must
+#: run before reliability assigns a sequence number: a frame deferred
+#: behind the handshake must not hold one, or a teardown would fail it
+#: twice (once from the gate's buffer, once from the send buffer).
+TX_ORDER = ("flowcontrol", "sessions", "reliability")
+#: Receive order, from the NIC up to the demultiplexer, with each layer's
+#: receive entry.  It is not the mirror image of :data:`TX_ORDER`: the
+#: session fence must run before reliability records a sequence number,
+#: so a frame from a stale incarnation is discarded instead of acked into
+#: the new epoch; flow control then sees only fresh, deduplicated frames.
+RX_ORDER = (("sessions", "on_frame"), ("reliability", "on_frame"),
+            ("flowcontrol", "accept"))
 
 
 @dataclass(frozen=True)
@@ -79,9 +103,9 @@ class EngineParams:
     eager_copy_on_recv: bool = True
     #: Transport reliability (see :mod:`repro.core.reliability`).  The
     #: paper's engine targets reliable system-area networks and performs no
-    #: retransmission, so ``"off"`` is the default and keeps every benchmark
-    #: number unchanged; ``"ack"`` turns on the sliding-window
-    #: ack/retransmit protocol with rail failover.
+    #: retransmission, so ``"off"`` is the default and builds no layer;
+    #: ``"ack"`` turns on the sliding-window ack/retransmit protocol with
+    #: rail failover.
     reliability: str = "off"
     #: Initial retransmit timeout, doubled (``rel_backoff``) per retry.
     #: The string ``"auto"`` (requires ``reliability="ack"``) replaces the
@@ -117,9 +141,9 @@ class EngineParams:
     rel_probe_after_us: float = 0.0
     #: Overload protection (see :mod:`repro.core.flowcontrol`).  The paper's
     #: engine assumes well-behaved peers and unbounded buffering, so
-    #: ``"off"`` is the default and keeps every benchmark figure
-    #: bit-identical; ``"credit"`` turns on receive-side credit flow control
-    #: for eager traffic (rendezvous traffic is self-paced by its grant).
+    #: ``"off"`` is the default and builds no layer; ``"credit"`` turns on
+    #: receive-side credit flow control for eager traffic (rendezvous
+    #: traffic is self-paced by its grant).
     flow_control: str = "off"
     #: Per-peer eager credit budget: payload bytes and wrap count a sender
     #: may have outstanding (unconsumed by the receiving application).
@@ -150,8 +174,8 @@ class EngineParams:
     watchdog_interval_us: float = 0.0
     #: Failure detection and session epochs (see
     #: :mod:`repro.core.sessions`).  The paper's engine assumes every peer
-    #: stays alive, so ``"off"`` is the default and keeps every benchmark
-    #: figure bit-identical; ``"epoch"`` stamps a session header on every
+    #: stays alive, so ``"off"`` is the default and builds no layer;
+    #: ``"epoch"`` stamps a session header on every
     #: frame, runs a hello/welcome handshake per peer, and confirms peers
     #: dead after ``hb_timeout_us`` of silence.
     sessions: str = "off"
@@ -289,7 +313,9 @@ class EngineStats:
     wire_bytes: int = 0
     recv_copies: int = 0
     recv_copy_bytes: int = 0
-    # Reliability-layer counters (all zero in "off" mode).
+    # Reliability-layer counters (all zero in "off" mode, except
+    # corrupt_discards: every engine discards a frame that fails its
+    # checksum).
     retransmits: int = 0
     duplicates_suppressed: int = 0
     failovers: int = 0
@@ -383,14 +409,21 @@ class NmadEngine:
                 ceiling_us=self.params.rel_rto_ceiling_us,
                 headroom=self.params.rel_rto_headroom,
             )
-        # The session layer must exist before the reliability layer (which
-        # caches it as its transmit gate) and the transfer layer (which
-        # routes the receive funnel through it in "epoch" mode).
-        self.sessions = SessionLayer(self)
-        self.reliability = ReliabilityLayer(self)
-        self.flowcontrol = FlowControlLayer(self)
         self.transfer = TransferLayer(self)
-        if self.params.sessions == "epoch":
+        # The opt-in layers: built only when enabled, so paper mode has none.
+        self.timers = TimerService(self.sim)
+        p = self.params
+        self.reliability = (ReliabilityLayer(self)
+                            if p.reliability == "ack" else None)
+        self.flowcontrol = (FlowControlLayer(self)
+                            if p.flow_control == "credit" else None)
+        self.sessions = SessionLayer(self) if p.sessions == "epoch" else None
+        #: The enabled layers, in transmit order.
+        self.layers: list[PeerLayer[Any]] = [
+            layer for name in TX_ORDER
+            if (layer := getattr(self, name)) is not None]
+        self._wire_layers()
+        if self.sessions is not None:
             node.add_crash_hook(self.halt)
         self.watchdog: Watchdog | None = None
         if self.params.watchdog_interval_us > 0:
@@ -402,6 +435,25 @@ class NmadEngine:
                 name=f"node{self.node_id}.watchdog",
             )
         self.sim.add_deadlock_hint(self._deadlock_hint)
+
+    def _wire_layers(self) -> None:
+        """Chain the enabled layers in :data:`TX_ORDER` / :data:`RX_ORDER`.
+
+        Each layer forwards to its ``down`` / ``up`` hop; the transfer
+        layer's NIC post and demultiplexer close the two chains.
+        """
+        down: SendHop = self.transfer.post_frame
+        for layer in reversed(self.layers):
+            layer.down, down = down, layer.send
+        self.transfer.send_frame = down
+        up: ReceiveHop = self.transfer.demux_frame
+        for name, entry in reversed(RX_ORDER):
+            rx_layer = getattr(self, name)
+            if rx_layer is not None:
+                rx_layer.up, up = up, getattr(rx_layer, entry)
+        self.transfer.receive_frame = up
+        if self.reliability is not None:
+            self.transfer.quarantined = self.reliability.quarantined
 
     # -- strategy management (paper abstract: dynamically extensible) -----
     def set_strategy(self, strategy: str | Strategy, **params: Any) -> None:
@@ -434,7 +486,7 @@ class NmadEngine:
         mid-flight the deadline lapses (too late, like MPI_Cancel on a
         matched send).
         """
-        if self.sessions.is_dead(dest):
+        if self.sessions is not None and self.sessions.is_dead(dest):
             raise PeerDeadError(
                 f"node{self.node_id}: isend to node {dest}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
@@ -464,7 +516,8 @@ class NmadEngine:
         :class:`~repro.errors.DeadlineExceededError`; a receive already
         matched (data landing) completes normally.
         """
-        if src != ANY and self.sessions.is_dead(src):
+        sessions = self.sessions
+        if src != ANY and sessions is not None and sessions.is_dead(src):
             raise PeerDeadError(
                 f"node{self.node_id}: irecv from node {src}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
@@ -475,10 +528,10 @@ class NmadEngine:
             posted_at=self.sim.now,
         )
         self.matcher.post(req)
-        if src != ANY:
+        if src != ANY and sessions is not None:
             # A sourced receive is a liveness interest: watch the peer so
             # its death fails this request instead of hanging it forever.
-            self.sessions.note_interest(src)
+            sessions.note_interest(src)
         if deadline_us is not None:
             self._arm_deadline(req, deadline_us)
         self.poke_watchdog()
@@ -608,7 +661,7 @@ class NmadEngine:
 
     # -- match dispatch -----------------------------------------------------------
     def _on_match(self, inc: Incoming, req: RecvRequest) -> None:
-        if self.flowcontrol.active and isinstance(inc.item, SegItem):
+        if self.flowcontrol is not None and isinstance(inc.item, SegItem):
             # The eager bytes vacate the receive buffer on the match — every
             # admitted segment funnels through here exactly once (whether it
             # matched a posted receive or waited unexpected), so the credit
@@ -649,6 +702,8 @@ class NmadEngine:
 
     def _on_refuse(self, inc: Incoming) -> None:
         """The matcher's unexpected-bytes budget refused an eager arrival."""
+        # The matcher budget needs flow_control="credit" (EngineParams).
+        assert self.flowcontrol is not None
         self.stats.unexpected_overflows += 1
         self.flowcontrol.on_local_refuse(inc)
 
@@ -658,20 +713,20 @@ class NmadEngine:
 
         Registered as a node crash hook in ``sessions="epoch"`` mode.  A
         dead process must not tick into its successor's incarnation, so
-        every virtual-time timer of this engine — retransmit and delayed-ack
-        timers, credit grant and NACK-resend timers, session monitors, the
-        progress watchdog — is invalidated through its generation counter.
-        No completion callbacks run: from the dead node's perspective the
-        world simply stops, exactly like a real crash.
+        every layer timer — retransmit and delayed-ack timers, credit grant
+        and NACK-resend timers, session monitors — is fenced in the timer
+        service, and the progress watchdog is disarmed.  No completion
+        callbacks run: from the dead node's perspective the world simply
+        stops, exactly like a real crash.
         """
         if self.halted:
             return
         self.halted = True
         if self.watchdog is not None:
             self.watchdog.disarm()
-        self.sessions.halt()
-        self.reliability.halt()
-        self.flowcontrol.halt()
+        self.timers.halt()
+        for layer in self.layers:
+            layer.halt()
         self.tracer.emit(self.sim.now, f"node{self.node_id}.engine", "halt")
 
     def quiesce(
@@ -723,25 +778,11 @@ class NmadEngine:
     def _watchdog_active(self) -> bool:
         """Work is outstanding, so a frozen token means a stall.
 
-        Flow-control transients (a delayed grant advertisement, a scheduled
-        NACK resend) are deliberately excluded: they are simulator timers
-        that always fire on their own, so they cannot be stall symptoms —
-        counting them would trip the watchdog on a healthy receiver whose
-        only pending "work" is a coalesced credit grant.  When a resend
-        fires it re-arms the watchdog via :meth:`poke_watchdog`.
+        A layer's own self-firing timers are not outstanding work (see
+        :attr:`~repro.core.peerlayer.PeerLayer.idle`).
         """
-        return (
-            self.matcher.n_posted > 0
-            or not self.window.empty
-            or self.transfer.has_anticipated
-            or self.rendezvous.n_pending > 0
-            or self.rendezvous.n_granted > 0
-            or self.rendezvous.n_incoming > 0
-            or self.matcher.n_parked > 0
-            or not self.reliability.quiesced
-            or self.collect.n_deferred > 0
-            or not self.sessions.quiesced
-        )
+        return (self.matcher.n_posted > 0 or not self._stack_drained()
+                or not all(layer.idle for layer in self.layers))
 
     def _stall_report(self) -> str:
         """Per-peer credit/window/backlog dump for ProgressStallError."""
@@ -750,19 +791,18 @@ class NmadEngine:
         peers: dict[int, None] = {}
         for d in win.dests():
             peers[d] = None
-        for d in self.flowcontrol.known_peers():
-            peers[d] = None
+        for layer in self.layers:
+            for d in layer.known_peers():
+                peers[d] = None
         lines = [f"node{self.node_id}: no engine progress "
                  f"(strategy={self.strategy.describe()})"]
         for peer in sorted(peers):
             blocked = " [credit-blocked]" if win.is_blocked(peer) else ""
-            session = ""
-            if self.sessions.active:
-                session = f"; {self.sessions.describe_peer(peer)}"
+            layers = "".join(f"; {d}" for layer in self.layers
+                             if (d := layer.describe_peer(peer)) is not None)
             lines.append(
                 f"  peer {peer}: window backlog={win.backlog(peer)} wraps/"
-                f"{win.backlog_bytes(peer)}B{blocked}; "
-                f"{self.flowcontrol.describe_peer(peer)}{session}"
+                f"{win.backlog_bytes(peer)}B{blocked}{layers}"
             )
         lines.append(
             f"  collect: deferred={self.collect.n_deferred} submissions"
@@ -782,6 +822,12 @@ class NmadEngine:
     # -- introspection ------------------------------------------------------------
     def quiesced(self) -> bool:
         """True when the engine holds no deferred work (end-of-test check)."""
+        return self._stack_drained() and all(
+            layer.quiesced for layer in self.layers)
+
+    def _stack_drained(self) -> bool:
+        """No deferred work outside the opt-in layers: window, anticipated
+        packet, rendezvous transfers, parked arrivals, collect backlog."""
         return (
             self.window.empty
             and not self.transfer.has_anticipated
@@ -789,10 +835,7 @@ class NmadEngine:
             and self.rendezvous.n_granted == 0
             and self.rendezvous.n_incoming == 0
             and self.matcher.n_parked == 0
-            and self.reliability.quiesced
-            and self.flowcontrol.quiesced
             and self.collect.n_deferred == 0
-            and self.sessions.quiesced
         )
 
     def _deadlock_hint(self) -> str | None:
@@ -806,7 +849,7 @@ class NmadEngine:
             # A crashed node's engine is not stuck; it is dead.  The live
             # side's own hint (dead peers, sessions off) explains the hang.
             return None
-        dead = self.sessions.dead_peers()
+        dead = self.sessions.dead_peers() if self.sessions is not None else []
         if dead:
             return (
                 f"node{self.node_id}: peer(s) {dead} confirmed dead — "
@@ -821,7 +864,7 @@ class NmadEngine:
             )
         if self.matcher.n_posted == 0 and self.quiesced():
             return None
-        if self.flowcontrol.active:
+        if self.flowcontrol is not None:
             blocked = [p for p in self.flowcontrol.known_peers()
                        if self.window.is_blocked(p)]
             if blocked:
@@ -830,7 +873,7 @@ class NmadEngine:
                     f"{blocked} — the receiver never released credit "
                     "(application not consuming?)"
                 )
-        if self.params.reliability == "off":
+        if self.reliability is None:
             return (
                 f"node{self.node_id}: reliability='off' — no retransmission "
                 "(paper mode); a lost or corrupted frame stalls its stream "

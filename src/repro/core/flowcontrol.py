@@ -3,8 +3,7 @@
 The paper's engine assumes a well-behaved peer: eager traffic is pushed
 as fast as the NICs allow and lands in the receiver's unexpected-message
 state without bound.  The default ``EngineParams.flow_control="off"``
-keeps that paper-faithful behaviour (every hook below degrades to a
-guarded no-op and received frames pass straight to the demultiplexer).
+keeps that paper-faithful behaviour by building no flow-control layer.
 This module is the opt-in hardening layer (``flow_control="credit"``)
 that bounds both ends of an eager stream:
 
@@ -20,8 +19,8 @@ that bounds both ends of an eager stream:
   ``(released_bytes_total, released_wraps_total)`` grants, piggybacked
   on any reverse frame (``fc_grant``, ``credit_header`` wire bytes) or
   as a small standalone ``credit`` frame after ``credit_grant_delay_us``
-  of reverse silence — the same delayed-generation machinery as the
-  reliability layer's standalone acks;
+  of reverse silence — the same coalescing as the reliability layer's
+  standalone acks (:meth:`~repro.core.peerlayer.PeerLayer._arm_control`);
 * cumulative totals make grants **idempotent**: a duplicated, reordered
   or retransmitted grant applies as a componentwise max, so the layer
   composes with ``reliability="ack"`` without extra state.
@@ -49,6 +48,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.packet import PacketWrap, SegItem
+from repro.core.peerlayer import PeerLayer
 from repro.errors import ProtocolError
 from repro.netsim.frames import Frame, FrameKind
 
@@ -71,9 +71,9 @@ class _PeerCredit:
     All byte/wrap totals are cumulative and monotonic (except for the
     sender-local ``sent_*`` pair, which :meth:`FlowControlLayer.refund`
     may wind back when an anticipated packet is dissolved before any NIC
-    accepted it).  Outstanding credit towards the peer is
-    ``sent_* - peer_released_*``; the budget the peer still allows is the
-    configured budget minus that difference.
+    accepted it) until a peer teardown drops the whole entry.  Outstanding
+    credit towards the peer is ``sent_* - peer_released_*``; the budget
+    the peer still allows is the configured budget minus that difference.
     """
 
     __slots__ = (
@@ -85,7 +85,6 @@ class _PeerCredit:
         # Receive half: what we released, and what we last advertised.
         "released_bytes_total", "released_wraps_total",
         "adv_bytes", "adv_wraps",
-        "grant_pending", "grant_gen", "resend_gen",
     )
 
     def __init__(self, peer: int) -> None:
@@ -100,43 +99,28 @@ class _PeerCredit:
         self.released_wraps_total = 0
         self.adv_bytes = 0
         self.adv_wraps = 0
-        self.grant_pending = False
-        self.grant_gen = 0
-        self.resend_gen = 0
 
 
-class FlowControlLayer:
+class FlowControlLayer(PeerLayer[_PeerCredit]):
     """Per-engine credit accounting, grant generation and NACK handling.
 
-    Sits between the reliability layer and the demultiplexer on the
-    receive path (:meth:`accept`), and is consulted by the transfer
-    layer on the transmit path (:meth:`consume` / :meth:`stamp`).  In
-    ``"off"`` mode :meth:`accept` is a single attribute check in front
-    of :meth:`~repro.core.transfer.TransferLayer.demux_frame` and no
-    transmit hook is ever invoked, so default-mode runs are bit- and
-    microsecond-identical to the paper engine.
+    The topmost opt-in layer on the transmit path (:meth:`send` stamps
+    the current grant; the transfer layer also charges and refunds credit
+    through :meth:`consume` / :meth:`refund`) and the last one before the
+    demultiplexer on the receive path (:meth:`accept`).
     """
 
+    #: The delayed standalone grant and the NACK resends.
+    SLOTS = ("grant", "resend")
+
     def __init__(self, engine: NmadEngine) -> None:
-        self.engine = engine
-        self.sim = engine.sim
-        self.params = engine.params
-        self.nics = list(engine.node.nics)
-        self.mode = engine.params.flow_control
-        self.active = self.mode == "credit"
+        super().__init__(engine, "flowcontrol")
         self._credit_bytes = engine.params.credit_bytes
         self._credit_wraps = engine.params.credit_wraps
         self._grant_delay = engine.params.credit_grant_delay_us
-        self._peers: dict[int, _PeerCredit] = {}
-        self._pending_resends = 0
-        self._name = f"node{engine.node_id}.flowcontrol"
 
-    def _peer(self, peer: int) -> _PeerCredit:
-        st = self._peers.get(peer)
-        if st is None:
-            st = _PeerCredit(peer)
-            self._peers[peer] = st
-        return st
+    def _new_peer(self, peer: int) -> _PeerCredit:
+        return _PeerCredit(peer)
 
     # -- transmit side: consuming credit ------------------------------------
     def consume(self, dest: int, nbytes: int) -> None:
@@ -153,14 +137,8 @@ class FlowControlLayer:
         st.sent_wraps_total -= 1
         self._update_gate(st)
 
-    def planning_budget(self, dest: int) -> tuple[int | None, int | None]:
-        """Remaining eager ``(bytes, wraps)`` allowance towards ``dest``.
-
-        ``(None, None)`` in off mode — strategies then plan unconstrained,
-        exactly as in the paper.
-        """
-        if not self.active:
-            return (None, None)
+    def planning_budget(self, dest: int) -> tuple[int, int]:
+        """Remaining eager ``(bytes, wraps)`` allowance towards ``dest``."""
         st = self._peers.get(dest)
         if st is None:
             return (self._credit_bytes, self._credit_wraps)
@@ -194,16 +172,15 @@ class FlowControlLayer:
     # -- receive path --------------------------------------------------------
     def accept(self, rail: int, frame: Frame) -> None:
         """Every post-reliability arrival funnels through here before demux."""
-        if self.active:
-            if frame.fc_grant is not None:
-                self._apply_grant(frame.src_node, frame.fc_grant,
-                                  from_nack=frame.kind == FrameKind.NACK)
-            if frame.kind == FrameKind.CREDIT:
-                return  # pure control: nothing to demultiplex
-            if frame.kind == FrameKind.NACK:
-                self._on_nack(frame)
-                return
-        self.engine.transfer.demux_frame(rail, frame)
+        if frame.fc_grant is not None:
+            self._apply_grant(frame.src_node, frame.fc_grant,
+                              from_nack=frame.kind == FrameKind.NACK)
+        if frame.kind == FrameKind.CREDIT:
+            return  # pure control: nothing to demultiplex
+        if frame.kind == FrameKind.NACK:
+            self._on_nack(frame)
+            return
+        self.up(rail, frame)
 
     def _apply_grant(self, peer: int, grant: tuple[int, int],
                      from_nack: bool) -> None:
@@ -227,14 +204,13 @@ class FlowControlLayer:
 
     def release(self, peer: int, nbytes: int) -> None:
         """The application consumed an eager message from ``peer``."""
-        if not self.active:
-            return
         st = self._peer(peer)
         st.released_bytes_total += nbytes
         st.released_wraps_total += 1
-        self._schedule_grant(st)
+        self._arm_control(peer, "grant", self._grant_delay_us(peer),
+                          self._grant_fire, st)
 
-    # -- grant generation (mirrors the reliability layer's delayed acks) -----
+    # -- grant generation (the reliability layer's delayed acks, for credit) -
     def _advertise(self, st: _PeerCredit) -> tuple[int, int]:
         """Snapshot the cumulative grant for an outgoing frame."""
         if (st.released_bytes_total > st.adv_bytes
@@ -242,7 +218,7 @@ class FlowControlLayer:
             st.adv_bytes = st.released_bytes_total
             st.adv_wraps = st.released_wraps_total
             self.engine.stats.credits_granted += 1
-        self._cancel_grant(st)
+        self.timers.cancel((st.peer, "grant"))
         return (st.released_bytes_total, st.released_wraps_total)
 
     def stamp(self, frame: Frame) -> None:
@@ -282,37 +258,16 @@ class FlowControlLayer:
             return self.params.nack_delay_us
         return max(self.params.nack_delay_us, rtt.rto_us(peer))
 
-    def _schedule_grant(self, st: _PeerCredit) -> None:
-        if st.grant_pending:
-            return
-        st.grant_pending = True
-        st.grant_gen += 1
-        gen = st.grant_gen
-        self.sim.schedule(self._grant_delay_us(st.peer),
-                          lambda: self._grant_fire(st, gen))
-
-    def _grant_fire(self, st: _PeerCredit, gen: int) -> None:
-        if gen != st.grant_gen or not st.grant_pending:
-            return  # a reverse frame piggybacked the grant in the meantime
-        self._send_credit(st)
-
-    def _cancel_grant(self, st: _PeerCredit) -> None:
-        st.grant_pending = False
-        st.grant_gen += 1
-
-    def _send_credit(self, st: _PeerCredit) -> None:
+    def _grant_fire(self, st: _PeerCredit) -> None:
+        """No reverse frame carried the grant in time: send it alone."""
         hdr = self.params.hdr
-        rail = self.engine.reliability.choose_rail(st.peer, prefer=0)
-        frame = Frame(
-            src_node=self.engine.node_id, dst_node=st.peer,
-            kind=FrameKind.CREDIT,
-            wire_size=hdr.global_header + hdr.credit_header,
-            fc_grant=self._advertise(st),
-        )
-        self.engine.tracer.emit(self.sim.now, self._name, "credit",
-                                peer=st.peer, bytes=st.released_bytes_total,
-                                wraps=st.released_wraps_total, rail=rail)
-        self.engine.reliability.send(self.nics[rail], frame)
+        grant = self._advertise(st)
+        frame = Frame(src_node=self.engine.node_id, dst_node=st.peer,
+                      kind=FrameKind.CREDIT,
+                      wire_size=hdr.global_header + hdr.credit_header,
+                      fc_grant=grant)
+        self._send_control(frame, sequenced=True, bytes=grant[0],
+                           wraps=grant[1])
 
     # -- unexpected-buffer overflow: NACK and resend later -------------------
     def on_local_refuse(self, inc: Incoming) -> None:
@@ -329,9 +284,9 @@ class FlowControlLayer:
         """
         item = inc.item
         assert isinstance(item, SegItem)
-        st = self._peer(inc.src)
         hdr = self.params.hdr
-        rail = self.engine.reliability.choose_rail(inc.src, prefer=0)
+        grant = self._advertise(self._peer(inc.src))
+        self.engine.stats.nacks_sent += 1
         # payload_size stays 0: the echoed segment stands in for the resend
         # buffer a real sender would have retained, so the bounce only
         # charges control-record bytes on the wire.
@@ -339,14 +294,10 @@ class FlowControlLayer:
             src_node=self.engine.node_id, dst_node=inc.src,
             kind=FrameKind.NACK,
             wire_size=hdr.global_header + hdr.seg_header + hdr.credit_header,
-            payload=item,
-            fc_grant=self._advertise(st),
+            payload=item, fc_grant=grant,
         )
-        self.engine.stats.nacks_sent += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "nack",
-                                peer=inc.src, seq=item.seq,
-                                nbytes=item.data.nbytes, rail=rail)
-        self.engine.reliability.send(self.nics[rail], frame)
+        self._send_control(frame, sequenced=True, seq=item.seq,
+                           nbytes=item.data.nbytes)
 
     def _on_nack(self, frame: Frame) -> None:
         item = frame.payload
@@ -362,20 +313,11 @@ class FlowControlLayer:
         delay = self._nack_resend_base_us(peer) * backoff
         self.engine.tracer.emit(self.sim.now, self._name, "nack_rx",
                                 peer=peer, seq=item.seq, delay_us=delay)
-        self._pending_resends += 1
-        gen = st.resend_gen
-        self.sim.schedule(delay, lambda: self._resend(peer, item, gen))
+        # A teardown fences the resend: re-submitting an old-epoch segment
+        # would ghost-deliver into the peer's next incarnation.
+        self.timers.post(peer, "resend", delay, self._resend, peer, item)
 
-    def _resend(self, peer: int, item: SegItem, gen: int) -> None:
-        if self.engine.halted:
-            return  # halt() already zeroed the pending-resend count
-        self._pending_resends -= 1  # nm: allow[NM503] -- the timer itself fired; its pending-count decrement is epoch-independent
-        st = self._peer(peer)
-        if gen != st.resend_gen:
-            # The peer died (or restarted) while this resend waited out its
-            # backoff: re-submitting the old-epoch segment would ghost-
-            # deliver into the peer's next incarnation.
-            return
+    def _resend(self, peer: int, item: SegItem) -> None:
         self.engine.stats.nack_resends += 1
         # Same (flow, tag, seq) stream position as the refused original, so
         # the receiver's in-order machinery treats the resend as *the*
@@ -391,65 +333,45 @@ class FlowControlLayer:
         self.engine.poke_watchdog()
         self.engine.transfer.kick()
 
-    # -- session-layer hooks --------------------------------------------------
-    def reset_peer(self, peer: int) -> None:
-        """Zero the credit ledger towards a dead/restarted peer.
+    # -- lifecycle ------------------------------------------------------------
+    def reset_peer(self, peer: int, exc: BaseException) -> None:
+        """Drop the credit ledger towards a dead/restarted peer.
 
-        The entry stays in place with its generation counters *bumped*
-        rather than being deleted: a recreated entry would restart its
-        generations at zero, and a NACK-resend timer armed in the peer's
-        previous life could then falsely match and resurrect an old-epoch
-        segment.  Grant and resend timers are cancelled through the bumps;
-        a credit-blocked window gate is lifted (the new incarnation starts
-        with a full budget).
+        Grant and resend timers are fenced with it, and a credit-blocked
+        window gate is lifted (the new incarnation starts with a full
+        budget).
         """
         st = self._peers.get(peer)
         if st is None:
             return
-        st.grant_pending = False
-        st.grant_gen += 1
-        st.resend_gen += 1
-        st.sent_bytes_total = 0
-        st.sent_wraps_total = 0
-        st.peer_released_bytes = 0
-        st.peer_released_wraps = 0
-        st.nack_streak = 0
-        st.released_bytes_total = 0
-        st.released_wraps_total = 0
-        st.adv_bytes = 0
-        st.adv_wraps = 0
+        super().reset_peer(peer, exc)
         if st.blocked:
-            st.blocked = False
             self.engine.window.unblock_dest(peer)
         self.engine.tracer.emit(self.sim.now, self._name, "reset_peer",
                                 peer=peer)
-
-    def halt(self) -> None:
-        """This node crashed: silence every timer, run no callbacks."""
-        for st in self._peers.values():
-            st.grant_pending = False
-            st.grant_gen += 1
-            st.resend_gen += 1
-        self._pending_resends = 0
 
     # -- introspection -------------------------------------------------------
     @property
     def pending_resends(self) -> int:
         """NACK resends still waiting out their backoff delay."""
-        return self._pending_resends
+        return self.timers.count("resend")
 
     @property
     def quiesced(self) -> bool:
         """True when no grant or NACK resend is still scheduled."""
-        if not self.active:
-            return True
-        if self._pending_resends:
-            return False
-        return all(not st.grant_pending for st in self._peers.values())
+        return not self.timers.count("resend") and not self.timers.count("grant")
 
-    def known_peers(self) -> list[int]:
-        """Peers with any credit state, in deterministic order."""
-        return sorted(self._peers)
+    @property
+    def idle(self) -> bool:
+        """Always true for the progress watchdog.
+
+        A delayed grant advertisement or a scheduled NACK resend is a
+        timer that always fires on its own, so it cannot be a stall
+        symptom — counting it would trip the watchdog on a healthy
+        receiver whose only pending "work" is a coalesced credit grant.
+        A firing resend re-arms the watchdog itself.
+        """
+        return True
 
     def describe_peer(self, peer: int) -> str:
         """One-line credit diagnostic for the stall report."""
@@ -464,9 +386,8 @@ class FlowControlLayer:
             f"{' [blocked]' if st.blocked else ''}, "
             f"released-out={st.released_bytes_total}B/"
             f"{st.released_wraps_total}w"
-            f"{' [grant pending]' if st.grant_pending else ''}"
+            f"{' [grant pending]' if self.timers.armed((peer, 'grant')) else ''}"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlowControlLayer {self._name} mode={self.mode} "
-                f"peers={len(self._peers)}>")
+        return f"<FlowControlLayer {self._name} peers={len(self._peers)}>"

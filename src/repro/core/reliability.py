@@ -2,10 +2,10 @@
 
 The real NewMadeleine targets reliable system-area networks (MX, Elan,
 SCI) and performs **no retransmission** — the default
-``EngineParams.reliability="off"`` keeps that paper-faithful behaviour,
-and every Figure 2/3/4 number is produced in that mode.  This module is
-the opt-in production-hardening layer (``reliability="ack"``) that makes
-the engine survive lossy links and failing rails:
+``EngineParams.reliability="off"`` builds no reliability layer, and every
+Figure 2/3/4 number is produced in that mode.  This module is the opt-in
+production-hardening layer (``reliability="ack"``) that makes the engine
+survive lossy links and failing rails:
 
 * every physical frame to a peer carries a per-peer **sequence number**
   (``rel_header`` + ``checksum`` bytes from :class:`HeaderSpec` are added
@@ -28,10 +28,11 @@ the engine survive lossy links and failing rails:
   on every re-quarantine): it rejoins the candidate set one loss short
   of the threshold, so a still-dead rail is ejected on the very next
   timeout while a healed one carries traffic again;
-* among healthy rails, election is **congestion-aware**: the least
-  congested rail by NIC queue depth (pending window bytes as tie-break)
-  wins, sticky to the previous rail on ties — shortest-queue failover
-  rather than a fixed priority order;
+* among healthy rails, the transfer layer's election is
+  **congestion-aware** (:meth:`~repro.core.transfer.TransferLayer.choose_rail`):
+  the least congested rail by NIC queue depth wins, sticky to the
+  previous rail on ties — shortest-queue failover rather than a fixed
+  priority order;
 * after ``rel_retry_budget`` retransmits a frame is declared
   undeliverable: the affected requests fail with
   :class:`~repro.errors.TransportError` (:class:`~repro.errors.RailDownError`
@@ -45,9 +46,10 @@ so cross-rail replays deduplicate exactly like same-rail ones.
 from __future__ import annotations
 
 from collections.abc import Callable
-
+from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.core.peerlayer import PeerLayer
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -87,8 +89,8 @@ class _Pending:
 class _Channel:
     """Both directions of the reliability state towards one peer."""
 
-    __slots__ = ("peer", "next_seq", "unacked", "rto_us", "timer_gen",
-                 "hedge_gen", "rx_cum", "rx_sacks", "ack_pending", "ack_gen")
+    __slots__ = ("peer", "next_seq", "unacked", "rto_us", "rx_cum",
+                 "rx_sacks")
 
     def __init__(self, peer: int, rto_us: float) -> None:
         self.peer = peer
@@ -96,68 +98,59 @@ class _Channel:
         self.next_seq = 0
         self.unacked: dict[int, _Pending] = {}
         self.rto_us = rto_us
-        self.timer_gen = 0
-        self.hedge_gen = 0
         # Receive half.
         self.rx_cum = 0                 # every seq < rx_cum was received
         self.rx_sacks: set[int] = set() # received beyond the cumulative edge
-        self.ack_pending = False
-        self.ack_gen = 0
 
 
-class ReliabilityLayer:
+class ReliabilityLayer(PeerLayer[_Channel]):
     """Per-engine ack/retransmit protocol and rail-health tracking.
 
-    In ``"off"`` mode every call degrades to a thin pass-through around
-    :meth:`Nic.post_send` with identical timing, so the default engine is
-    byte-for-byte and microsecond-for-microsecond the paper's.
+    The lowest opt-in layer on the transmit path: every frame it sends —
+    first transmissions, retransmits and hedges — goes to
+    ``self.down``, the transfer layer's NIC post.
     """
 
+    #: The only mode a built layer can have (paper mode builds none).
+    mode = "ack"
+    #: Retransmit clock, tail hedges and the delayed standalone ack.
+    SLOTS = ("rto", "hedge", "ack")
+
     def __init__(self, engine: NmadEngine) -> None:
-        self.engine = engine
-        self.sim = engine.sim
-        self.params = engine.params
-        self.nics = list(engine.node.nics)
-        self.mode = engine.params.reliability
-        # The session layer gates every transmit (constructed just before
-        # this layer); in sessions="off" mode the gate is never consulted.
-        self._sessions = engine.sessions
+        super().__init__(engine, "reliability")
         # Adaptive timing: the engine-owned estimator, or None in static
         # mode.  _static_rto_us is the configured constant when static.
         self._rtt = engine.rtt
         self._static_rto_us: float | None = (
             None if engine.params.rel_adaptive
             else float(engine.params.rel_timeout_us))
-        self._channels: dict[int, _Channel] = {}
-        #: Rails the health tracker has taken out of service.
+        #: Rails the health tracker has taken out of service (this layer is
+        #: the set's only writer; the transfer layer's election reads it).
         self.quarantined: set[int] = set()
         #: Consecutive retransmit-timeouts per rail (reset on any ack).
         self.rail_losses: dict[int, int] = {}
-        # Half-open recovery: each quarantine schedules a re-probe after a
-        # per-rail backoff window; generation counters void stale probes.
-        self._probe_gens: dict[int, int] = {}
+        # Half-open recovery: each quarantine arms a re-probe after a
+        # per-rail backoff window.
         self._probe_backoff: dict[int, float] = {}
-        self._name = f"node{engine.node_id}.reliability"
+
+    def _new_peer(self, peer: int) -> _Channel:
+        return _Channel(peer, rto_us=self._rto_base_us(peer))
 
     # -- introspection ------------------------------------------------------
-    def rail_ok(self, rail: int) -> bool:
-        """May the transfer layer still schedule work on this rail?"""
-        return rail not in self.quarantined
-
     @property
     def n_unacked(self) -> int:
-        return sum(len(ch.unacked) for ch in self._channels.values())
+        return sum(len(ch.unacked) for ch in self._peers.values())
 
     @property
     def quiesced(self) -> bool:
         """True when no frame awaits an ack and no ack awaits sending."""
-        return all(not ch.unacked and not ch.ack_pending
-                   for ch in self._channels.values())
+        return (not self.timers.count("ack")
+                and all(not ch.unacked for ch in self._peers.values()))
 
     def has_outstanding(self, peer: int) -> bool:
-        """Does this layer still owe or await anything towards ``peer``?"""
-        ch = self._channels.get(peer)
-        return ch is not None and bool(ch.unacked or ch.ack_pending)
+        ch = self._peers.get(peer)
+        return ch is not None and bool(
+            ch.unacked or self.timers.armed((peer, "ack")))
 
     def _rto_base_us(self, peer: int) -> float:
         """The un-backed-off retransmit timeout towards ``peer``: the
@@ -168,13 +161,6 @@ class ReliabilityLayer:
         assert self._static_rto_us is not None
         return self._static_rto_us
 
-    def _channel(self, peer: int) -> _Channel:
-        ch = self._channels.get(peer)
-        if ch is None:
-            ch = _Channel(peer, rto_us=self._rto_base_us(peer))
-            self._channels[peer] = ch
-        return ch
-
     # -- transmit side ------------------------------------------------------
     def send(
         self,
@@ -184,36 +170,23 @@ class ReliabilityLayer:
         on_delivered: Callable[[], None] | None = None,
         on_failed: Callable[[BaseException], None] | None = None,
     ) -> None:
-        """Transmit ``frame`` on ``nic``, reliably when the layer is on.
+        """Sequence ``frame`` and transmit it on ``nic`` until acknowledged.
 
-        ``on_delivered`` fires once: at tx completion in ``"off"`` mode
-        (the classic "data left the node" semantics), at ack receipt in
-        ``"ack"`` mode.  ``on_failed`` fires instead (ack mode only) when
-        the retransmit budget is exhausted — or, with ``sessions="epoch"``,
-        when the peer is confirmed dead.
+        ``on_delivered`` fires once, at ack receipt.  ``on_failed`` fires
+        instead when the retransmit budget is exhausted — or, with
+        ``sessions="epoch"``, when the peer is torn down.
         """
-        if self._sessions.active and self._sessions.defer_tx(
-                nic, frame, cpu_gap_us, on_delivered, on_failed):
-            # Buffered behind the session handshake (it will re-enter here
-            # on flush), or failed because the peer is dead.
-            return
-        if self.mode == "off":
-            done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
-            if on_delivered is not None:
-                done.add_callback(lambda _evt: on_delivered())
-            return
-        ch = self._channel(frame.dst_node)
+        ch = self._peer(frame.dst_node)
         hdr = self.params.hdr
         frame.rel_seq = ch.next_seq
         ch.next_seq += 1
         frame.wire_size += hdr.rel_header + hdr.checksum
-        frame.rel_ack = self._ack_snapshot(ch)
-        self._cancel_delayed_ack(ch)
+        self._piggyback_ack(ch, frame)
         pending = _Pending(frame.rel_seq, frame, cpu_gap_us,
                            on_delivered, on_failed, rail=nic.rail)
         ch.unacked[pending.seq] = pending
-        done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
-        done.add_callback(lambda _evt: self._tx_done(ch, pending))
+        self.down(nic, frame, cpu_gap_us,
+                  partial(self._tx_done, ch, pending), None)
 
     def _tx_done(self, ch: _Channel, pending: _Pending) -> None:
         """A (re)transmission fully left the NIC: start its retry clock."""
@@ -243,52 +216,37 @@ class ReliabilityLayer:
         delay = self._rtt.hedge_delay_us(ch.peer, pending.rail)
         if delay is None:
             return  # estimate too cold to call anything a tail
-        gen = ch.hedge_gen
-        self.sim.schedule(delay, lambda: self._hedge_fire(ch, pending, gen))
+        self.timers.post(ch.peer, "hedge", delay, self._hedge_fire,
+                         ch, pending)
 
-    def _hedge_fire(self, ch: _Channel, pending: _Pending, gen: int) -> None:
-        if gen != ch.hedge_gen:
-            return  # peer torn down / node halted since arming
+    def _hedge_fire(self, ch: _Channel, pending: _Pending) -> None:
         if (pending.seq not in ch.unacked or pending.retries
                 or pending.hedged_at is not None):
             return  # acked, already retransmitting, or already hedged
-        rail = self._second_best_rail(ch.peer, exclude=pending.rail)
+        rail = self.engine.transfer.second_best_rail(ch.peer,
+                                                     exclude=pending.rail)
         if rail is None:
             return  # no healthy alternative rail to hedge on
         pending.hedged_at = self.sim.now
         self.engine.stats.hedges_sent += 1
         frame = pending.frame
-        frame.rel_ack = self._ack_snapshot(ch)
-        self._cancel_delayed_ack(ch)
+        self._piggyback_ack(ch, frame)
         self.engine.tracer.emit(self.sim.now, self._name, "hedge",
                                 seq=pending.seq, peer=ch.peer,
                                 from_rail=pending.rail, to_rail=rail)
         # The original keeps its retry clock and its loss attribution; the
         # hedge copy is fire-and-forget (same seq, so the receiver dedups).
-        self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
-
-    def _second_best_rail(self, peer: int, exclude: int) -> int | None:
-        """Least-congested healthy rail other than ``exclude``, if any."""
-        candidates = [r for r, nic in enumerate(self.nics)
-                      if r != exclude and r not in self.quarantined
-                      and nic.has_peer(peer)]
-        if not candidates:
-            return None
-        return min(candidates, key=self._rail_score)
+        self.down(self.nics[rail], frame, pending.cpu_gap_us, None, None)
 
     def _arm_timer(self, ch: _Channel) -> None:
         deadlines = [p.deadline for p in ch.unacked.values()
                      if p.deadline is not None]
         if not deadlines:
             return
-        ch.timer_gen += 1
-        gen = ch.timer_gen
         delay = max(0.0, min(deadlines) - self.sim.now)
-        self.sim.schedule(delay, lambda: self._on_timer(ch, gen))
+        self.timers.arm((ch.peer, "rto"), delay, self._on_timer, ch)
 
-    def _on_timer(self, ch: _Channel, gen: int) -> None:
-        if gen != ch.timer_gen:
-            return  # superseded by a newer arm
+    def _on_timer(self, ch: _Channel) -> None:
         now = self.sim.now
         expired = [p for p in ch.unacked.values()
                    if p.deadline is not None and p.deadline <= now]
@@ -304,7 +262,7 @@ class ReliabilityLayer:
         pending.retries += 1
         self.engine.stats.retransmits += 1
         self._note_loss(pending.rail)
-        rail = self._choose_rail(ch.peer, prefer=pending.rail)
+        rail = self.engine.transfer.choose_rail(ch.peer, prefer=pending.rail)
         if rail != pending.rail:
             self.engine.stats.failovers += 1
             self.engine.tracer.emit(self.sim.now, self._name, "failover",
@@ -317,13 +275,12 @@ class ReliabilityLayer:
             self.engine.stats.rto_backoffs += 1
         pending.deadline = None
         frame = pending.frame
-        frame.rel_ack = self._ack_snapshot(ch)
-        self._cancel_delayed_ack(ch)
+        self._piggyback_ack(ch, frame)
         self.engine.tracer.emit(self.sim.now, self._name, "retransmit",
                                 seq=pending.seq, peer=ch.peer, rail=rail,
                                 attempt=pending.retries)
-        done = self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
-        done.add_callback(lambda _evt: self._tx_done(ch, pending))
+        self.down(self.nics[rail], frame, pending.cpu_gap_us,
+                  partial(self._tx_done, ch, pending), None)
 
     def _give_up(self, ch: _Channel, pending: _Pending) -> None:
         del ch.unacked[pending.seq]
@@ -363,7 +320,7 @@ class ReliabilityLayer:
         # Expire everything last sent on the dead rail so failover happens
         # now rather than after the remaining backoff.
         now = self.sim.now
-        for ch in self._channels.values():
+        for ch in self._peers.values():
             touched = False
             for p in ch.unacked.values():
                 if p.rail == rail and p.deadline is not None:
@@ -396,13 +353,11 @@ class ReliabilityLayer:
             return
         backoff = self._probe_backoff.get(rail, base)
         self._probe_backoff[rail] = min(backoff * 2.0, 64.0 * base)
-        gen = self._probe_gens.get(rail, 0) + 1
-        self._probe_gens[rail] = gen
         self.engine.tracer.emit(self.sim.now, self._name, "probe_armed",
                                 rail=rail, after_us=backoff)
-        self.sim.schedule(backoff, lambda: self._reprobe(rail, gen))
+        self.timers.arm((None, "probe", rail), backoff, self._reprobe, rail)
 
-    def _reprobe(self, rail: int, gen: int) -> None:
+    def _reprobe(self, rail: int) -> None:
         """Half-open the rail: lift the quarantine, one strike re-imposes it.
 
         The rail rejoins the candidate set with its loss score one short of
@@ -410,8 +365,6 @@ class ReliabilityLayer:
         re-quarantines immediately (and re-arms a longer probe), while a
         single successful ack clears the score and the backoff entirely.
         """
-        if gen != self._probe_gens.get(rail):
-            return  # superseded (halt or a newer quarantine cycle)
         if rail not in self.quarantined:
             return
         self.quarantined.discard(rail)
@@ -421,59 +374,18 @@ class ReliabilityLayer:
                                 rail=rail)
         self.engine.transfer.kick()
 
-    def _choose_rail(self, peer: int, prefer: int) -> int:
-        """Least-congested healthy rail with a path to ``peer``.
-
-        Congestion-aware shortest-queue choice: each candidate rail is
-        scored by its NIC's tx occupancy (queued frames, +1 while the card
-        is busy serializing) with the optimization window's O(1) pending-
-        byte index as the tie-break.  ``prefer`` stays sticky unless some
-        other rail is *strictly* less congested, so the uncontended case
-        behaves exactly like the old boolean health check.
-        """
-        candidates = [r for r, nic in enumerate(self.nics)
-                      if r not in self.quarantined and nic.has_peer(peer)]
-        if not candidates:
-            return prefer  # no healthy alternative: keep trying where we were
-        if len(candidates) == 1:
-            return candidates[0]
-        best = min(candidates, key=self._rail_score)
-        if prefer in candidates:
-            if self._rail_score(best) < self._rail_score(prefer):
-                return best
-            return prefer
-        return best
-
-    def _rail_score(self, rail: int) -> tuple[int, int]:
-        """Queue-depth congestion score for one rail (lower is better)."""
-        nic = self.nics[rail]
-        depth = nic.queued + (0 if nic.idle else 1)
-        return depth, self.engine.window.pending_bytes(rail)
-
-    def choose_rail(self, peer: int, prefer: int = 0) -> int:
-        """Public rail election for other control layers (flow control)."""
-        return self._choose_rail(peer, prefer)
-
     # -- receive side --------------------------------------------------------
     def on_frame(self, rail: int, frame: Frame) -> None:
-        """Every engine-NIC arrival funnels through here before demux."""
-        if frame.corrupted:
-            # The checksum the sender appended does not match: discard like
-            # a loss (in ack mode the retransmit timer recovers it; in off
-            # mode the stall is the loud surface the tests demand).
-            self.engine.stats.corrupt_discards += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "rx_corrupt",
-                                    frame=frame.frame_id, rail=rail)
-            return
+        """Process piggybacked acks, drop duplicates, ack what is new."""
         if frame.rel_ack is not None:
             cum, sacks = frame.rel_ack
             self._handle_ack(frame.src_node, cum, sacks)
         if frame.kind == FrameKind.REL_ACK:
             return
-        if self.mode == "off" or frame.rel_seq is None:
-            self.engine.flowcontrol.accept(rail, frame)
+        if frame.rel_seq is None:
+            self.up(rail, frame)
             return
-        ch = self._channel(frame.src_node)
+        ch = self._peer(frame.src_node)
         if not self._record_rx(ch, frame.rel_seq):
             self.engine.stats.duplicates_suppressed += 1
             self.engine.tracer.emit(self.sim.now, self._name, "dup_suppress",
@@ -481,8 +393,9 @@ class ReliabilityLayer:
             # The peer is clearly missing our ack: resend it right away.
             self._send_ack(ch)
             return
-        self._schedule_delayed_ack(ch)
-        self.engine.flowcontrol.accept(rail, frame)
+        self._arm_control(ch.peer, "ack", self.params.rel_ack_delay_us,
+                          self._delayed_ack_fire, ch)
+        self.up(rail, frame)
 
     def _record_rx(self, ch: _Channel, seq: int) -> bool:
         if seq < ch.rx_cum or seq in ch.rx_sacks:
@@ -493,11 +406,8 @@ class ReliabilityLayer:
             ch.rx_cum += 1
         return True
 
-    def _ack_snapshot(self, ch: _Channel) -> tuple[int, tuple[int, ...]]:
-        return ch.rx_cum, tuple(sorted(ch.rx_sacks))
-
     def _handle_ack(self, peer: int, cum: int, sacks: tuple[int, ...]) -> None:
-        ch = self._channel(peer)
+        ch = self._peer(peer)
         sackset = set(sacks)
         acked = sorted(s for s in ch.unacked if s < cum or s in sackset)
         if not acked:
@@ -530,62 +440,43 @@ class ReliabilityLayer:
         self._arm_timer(ch)
 
     # -- acknowledgement generation ------------------------------------------
-    def _schedule_delayed_ack(self, ch: _Channel) -> None:
-        if ch.ack_pending:
-            return
-        ch.ack_pending = True
-        ch.ack_gen += 1
-        gen = ch.ack_gen
-        self.sim.schedule(self.params.rel_ack_delay_us,
-                          lambda: self._delayed_ack_fire(ch, gen))
+    def _piggyback_ack(self, ch: _Channel, frame: Frame) -> None:
+        """Carry the current ack record on an outgoing frame, which makes
+        a pending standalone ack redundant."""
+        frame.rel_ack = (ch.rx_cum, tuple(sorted(ch.rx_sacks)))
+        self.timers.cancel((ch.peer, "ack"))
 
-    def _delayed_ack_fire(self, ch: _Channel, gen: int) -> None:
-        if gen != ch.ack_gen or not ch.ack_pending:
-            return  # a reverse frame piggybacked the ack in the meantime
+    def _delayed_ack_fire(self, ch: _Channel) -> None:
+        # The delayed-ack timer's own entry point, so its time is charged
+        # to this layer by name (e2ebench/spans.py), like the other timers.
         self._send_ack(ch)
 
-    def _cancel_delayed_ack(self, ch: _Channel) -> None:
-        ch.ack_pending = False
-        ch.ack_gen += 1
-
     def _send_ack(self, ch: _Channel) -> None:
-        self._cancel_delayed_ack(ch)
+        self.timers.cancel((ch.peer, "ack"))
         hdr = self.params.hdr
-        rail = self._choose_rail(ch.peer, prefer=0)
-        frame = Frame(
-            src_node=self.engine.node_id, dst_node=ch.peer,
-            kind=FrameKind.REL_ACK,
-            wire_size=hdr.rel_header + hdr.checksum,
-            rel_ack=self._ack_snapshot(ch),
-        )
-        # Standalone acks bypass send() (they must not consume a sequence
-        # number) but still need the epoch stamp to pass the peer's fence.
-        self._sessions.stamp(frame)
+        ack = (ch.rx_cum, tuple(sorted(ch.rx_sacks)))
         self.engine.stats.acks_sent += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "ack",
-                                peer=ch.peer, cum=frame.rel_ack[0],
-                                sacks=len(frame.rel_ack[1]), rail=rail)
-        self.nics[rail].post_send(frame, cpu_gap_us=0.0)
+        frame = Frame(src_node=self.engine.node_id, dst_node=ch.peer,
+                      kind=FrameKind.REL_ACK,
+                      wire_size=hdr.rel_header + hdr.checksum, rel_ack=ack)
+        self._send_control(frame, sequenced=False, cum=ack[0],
+                           sacks=len(ack[1]))
 
-    # -- session-layer hooks --------------------------------------------------
+    # -- lifecycle -------------------------------------------------------------
     def reset_peer(self, peer: int, exc: BaseException) -> None:
         """Tear down the channel to a dead/restarted peer atomically.
 
-        Cancels the retransmit and delayed-ack timers through their
-        generation counters *before* dropping the send buffer — the timer
-        closures hold the channel object, so a later tick against a
-        resurrected peer must find a bumped generation, not a stale
-        deadline.  Every unacked frame's requests fail with ``exc``.
+        The retransmit, hedge and delayed-ack timers are fenced *before*
+        the send buffer is dropped — the timer callbacks hold the channel
+        object, so a later tick against a resurrected peer must find
+        nothing live.  Every unacked frame's requests fail with ``exc``.
         """
-        ch = self._channels.get(peer)
+        ch = self._peers.get(peer)
         if ch is None:
             return
-        ch.timer_gen += 1              # pending _on_timer becomes a no-op
-        ch.hedge_gen += 1              # pending _hedge_fire likewise
-        self._cancel_delayed_ack(ch)   # pending _delayed_ack_fire likewise
+        super().reset_peer(peer, exc)
         pendings = sorted(ch.unacked.values(), key=lambda p: p.seq)
         ch.unacked.clear()
-        del self._channels[peer]
         if self._rtt is not None:
             # The next incarnation's path may be nothing like this one's.
             self._rtt.forget_peer(peer)
@@ -596,17 +487,10 @@ class ReliabilityLayer:
                 pending.on_failed(exc)
 
     def halt(self) -> None:
-        """This node crashed: silence every timer, run no callbacks."""
-        for ch in self._channels.values():
-            ch.timer_gen += 1
-            ch.hedge_gen += 1
-            ch.ack_pending = False
-            ch.ack_gen += 1
+        """This node crashed: forget every unacked frame, run no callbacks."""
+        for ch in self._peers.values():
             ch.unacked.clear()
-        for rail in range(len(self.nics)):
-            if rail in self._probe_gens:
-                self._probe_gens[rail] += 1  # in-flight probes become no-ops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ReliabilityLayer {self._name} mode={self.mode} "
-                f"unacked={self.n_unacked} quarantined={sorted(self.quarantined)}>")
+        return (f"<ReliabilityLayer {self._name} unacked={self.n_unacked} "
+                f"quarantined={sorted(self.quarantined)}>")

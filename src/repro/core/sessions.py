@@ -6,10 +6,9 @@ the opt-in reliability and flow-control layers inherit that — a silently
 crashed peer leaves senders retrying into the void until the retry budget
 burns, leaks credit, and a restarted peer would happily accept stale
 frames from its previous life.  The default ``EngineParams.sessions="off"``
-keeps the paper-faithful behaviour (no hook below is ever installed and
-every figure stays bit-identical).  This module is the opt-in hardening
-layer (``sessions="epoch"``) that gives the engine a ULFM-style notion of
-process failure:
+keeps the paper-faithful behaviour by building no session layer.  This
+module is the opt-in hardening layer (``sessions="epoch"``) that gives the
+engine a ULFM-style notion of process failure:
 
 * every frame to a peer carries a small **session header**: the sender's
   *incarnation* (restart count of its node) and the sender's current view
@@ -43,9 +42,9 @@ process failure:
   matcher sequence state toward the peer are all dropped in one step
   (no simulated time passes), with every affected request failing
   loudly via :class:`~repro.errors.PeerDeadError`;
-* on the node's own crash the engine's :meth:`~NmadEngine.halt` silences
-  its timers through the same generation-bump machinery, so a dead
-  process never ticks into its successor's incarnation.
+* on the node's own crash the engine's :meth:`~NmadEngine.halt` fences
+  every timer in the engine's :class:`~repro.core.peerlayer.TimerService`,
+  so a dead process never ticks into its successor's incarnation.
 
 State machine per peer::
 
@@ -64,6 +63,7 @@ from collections.abc import Callable
 
 from typing import TYPE_CHECKING
 
+from repro.core.peerlayer import PeerLayer
 from repro.errors import PeerDeadError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -87,8 +87,7 @@ class _PeerSession:
     """Session and failure-detector state towards one peer."""
 
     __slots__ = ("peer", "sess_state", "peer_incarnation", "epoch",
-                 "last_heard_us", "last_tx_us", "suspect",
-                 "mon_armed", "mon_gen", "deferred_tx")
+                 "last_heard_us", "last_tx_us", "suspect", "deferred_tx")
 
     def __init__(self, peer: int, now: float) -> None:
         self.peer = peer
@@ -99,8 +98,6 @@ class _PeerSession:
         self.last_heard_us = now
         self.last_tx_us = now
         self.suspect = False
-        self.mon_armed = False
-        self.mon_gen = 0
         #: Frames awaiting the handshake: (nic, frame, gap, ok, fail).
         self.deferred_tx: list[tuple[
             Nic, Frame, float,
@@ -109,62 +106,49 @@ class _PeerSession:
         ]] = []
 
 
-class SessionLayer:
+class SessionLayer(PeerLayer[_PeerSession]):
     """Per-engine session handshakes, epoch fencing and failure detection.
 
-    Sits at the very front of the receive funnel (before the reliability
-    layer) and gates the transmit funnel inside
-    :meth:`~repro.core.reliability.ReliabilityLayer.send`.  In ``"off"``
-    mode neither hook is installed, so default-mode runs are bit- and
-    microsecond-identical to the paper engine.
+    Sits at the very front of the receive path (before the reliability
+    layer records a sequence number) and gates the transmit path just
+    above reliability (before a sequence number is assigned).
     """
 
     def __init__(self, engine: NmadEngine) -> None:
-        self.engine = engine
-        self.sim = engine.sim
-        self.params = engine.params
-        self.nics = list(engine.node.nics)
-        self.mode = engine.params.sessions
-        self.active = self.mode == "epoch"
+        super().__init__(engine, "sessions")
         #: Frozen at construction: a restarted node gets a *new* engine,
         #: whose session layer speaks for the new incarnation.
         self.incarnation = engine.node.incarnation
-        self._peers: dict[int, _PeerSession] = {}
-        self._name = f"node{engine.node_id}.sessions"
 
-    def _peer(self, peer: int) -> _PeerSession:
-        st = self._peers.get(peer)
-        if st is None:
-            st = _PeerSession(peer, now=self.sim.now)
-            self._peers[peer] = st
-        return st
+    def _new_peer(self, peer: int) -> _PeerSession:
+        return _PeerSession(peer, now=self.sim.now)
 
     # -- transmit side -------------------------------------------------------
     def stamp(self, frame: Frame) -> None:
         """Attach the session header to an outgoing frame (idempotent)."""
-        if not self.active or frame.session is not None:
+        if frame.session is not None:
             return
         st = self._peer(frame.dst_node)
         frame.session = (self.incarnation, st.peer_incarnation)
         frame.wire_size += self.params.hdr.session_header
         st.last_tx_us = self.sim.now
 
-    def defer_tx(
+    def send(
         self,
         nic: Nic,
         frame: Frame,
-        cpu_gap_us: float,
-        on_delivered: Callable[[], None] | None,
-        on_failed: Callable[[BaseException], None] | None,
-    ) -> bool:
+        cpu_gap_us: float = 0.0,
+        on_delivered: Callable[[], None] | None = None,
+        on_failed: Callable[[BaseException], None] | None = None,
+    ) -> None:
         """Gate one outgoing frame on the peer's session state.
 
-        Returns ``True`` when the layer consumed the frame (buffered until
-        the handshake completes, or failed because the peer is dead) and
-        ``False`` when the caller should transmit it now (it has been
-        stamped).  Called from the top of ``ReliabilityLayer.send`` so
-        *every* engine frame — data, acks excepted (they stamp directly),
-        credits, NACKs — is epoch-correct.
+        An established, unsuspected peer gets the frame stamped and passed
+        down now.  Otherwise the layer keeps it — buffered until the
+        handshake completes or the suspicion lifts — or fails it because
+        the peer is dead.  *Every* engine frame — data, credits, NACKs;
+        acks and session frames excepted (they are stamped directly) —
+        passes here, so every one is epoch-correct.
         """
         st = self._peer(frame.dst_node)
         if st.sess_state == "established":
@@ -181,10 +165,11 @@ class SessionLayer:
                                         parked=len(st.deferred_tx))
                 self._arm_monitor(st)
                 self.engine.poke_watchdog()
-                return True
+                return
             self.stamp(frame)
             self._arm_monitor(st)
-            return False
+            self.down(nic, frame, cpu_gap_us, on_delivered, on_failed)
+            return
         if st.sess_state == "dead":
             if on_failed is not None:
                 on_failed(PeerDeadError(
@@ -192,7 +177,7 @@ class SessionLayer:
                     f"a peer confirmed dead at incarnation "
                     f"{st.peer_incarnation}"
                 ))
-            return True
+            return
         # unknown / hello_sent: buffer behind the handshake (FIFO).
         st.deferred_tx.append((nic, frame, cpu_gap_us,
                                on_delivered, on_failed))
@@ -201,7 +186,6 @@ class SessionLayer:
             self._send_session_frame(st, FrameKind.SESSION_HELLO)
         self._arm_monitor(st)
         self.engine.poke_watchdog()
-        return True
 
     def _flush(self, st: _PeerSession) -> None:
         """Handshake done: replay buffered frames in submission order."""
@@ -211,38 +195,26 @@ class SessionLayer:
         self.engine.tracer.emit(self.sim.now, self._name, "flush",
                                 peer=st.peer, frames=len(deferred))
         for nic, frame, gap, ok, fail in deferred:
-            self.engine.reliability.send(nic, frame, cpu_gap_us=gap,
-                                         on_delivered=ok, on_failed=fail)
+            self.send(nic, frame, gap, ok, fail)
 
     def _send_session_frame(self, st: _PeerSession, kind: str,
                             payload: str | None = None) -> None:
         """Emit a handshake/heartbeat frame directly (never retransmitted:
         the monitor re-solicits, so losing one only costs an interval)."""
-        rail = self.engine.reliability.choose_rail(st.peer, prefer=0)
         frame = Frame(
             src_node=self.engine.node_id, dst_node=st.peer, kind=kind,
             wire_size=self.params.hdr.global_header, payload=payload,
         )
-        self.stamp(frame)
         if kind == FrameKind.HEARTBEAT:
             self.engine.stats.heartbeats_sent += 1
-        self.engine.tracer.emit(self.sim.now, self._name, kind,
-                                peer=st.peer, rail=rail, payload=payload)
-        self.nics[rail].post_send(frame)
+        self._send_control(frame, sequenced=False, payload=payload)
 
     # -- receive side --------------------------------------------------------
     def on_frame(self, rail: int, frame: Frame) -> None:
         """Every engine-NIC arrival funnels through here first."""
-        if frame.corrupted:
-            # Same surface as the reliability layer: a failed checksum is
-            # a loss, whatever the frame claimed to be.
-            self.engine.stats.corrupt_discards += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "rx_corrupt",
-                                    frame=frame.frame_id, rail=rail)
-            return
         if frame.session is None:
-            # A peer running sessions="off": tolerate, pass straight down.
-            self.engine.reliability.on_frame(rail, frame)
+            # A peer running sessions="off": tolerate, pass straight up.
+            self.up(rail, frame)
             return
         s_inc, d_inc = frame.session
         st = self._peer(frame.src_node)
@@ -268,7 +240,7 @@ class SessionLayer:
         elif st.sess_state != "established":
             self._establish(st, s_inc)        # implicit learn from data
         self._note_liveness(st)
-        self.engine.reliability.on_frame(rail, frame)
+        self.up(rail, frame)
 
     def _on_session_frame(self, st: _PeerSession, frame: Frame,
                           s_inc: int, d_inc: int) -> None:
@@ -349,8 +321,7 @@ class SessionLayer:
 
     def _declare_dead(self, st: _PeerSession) -> None:
         st.sess_state = "dead"
-        st.mon_armed = False
-        st.mon_gen += 1
+        self.timers.cancel((st.peer, "mon"))
         self.engine.stats.peers_dead += 1
         exc = PeerDeadError(
             f"node{self.engine.node_id}: node {st.peer} declared dead after "
@@ -372,9 +343,9 @@ class SessionLayer:
         Runs with no simulated time passing, so no frame or timer can
         interleave between the steps: deferred handshake frames, the
         anticipated packet, window backlog, collect-deferred submissions,
-        reliability windows (and their retransmit/ack timers), rendezvous
-        transfers, credit ledgers (and their grant/resend timers), and
-        the matcher's per-peer sequence state go in one step.
+        every other layer's per-peer state (reliability windows, credit
+        ledgers, and their timers), rendezvous transfers, and the
+        matcher's per-peer sequence state go in one step.
         """
         engine = self.engine
         peer = st.peer
@@ -390,9 +361,10 @@ class SessionLayer:
                 wrap.completion.fail(exc)
                 wrap.completion.defuse()
         engine.collect.reset_dest(peer, exc)
-        engine.reliability.reset_peer(peer, exc)
+        for layer in engine.layers:
+            if layer is not self:
+                layer.reset_peer(peer, exc)
         engine.rendezvous.fail_peer(peer, exc)
-        engine.flowcontrol.reset_peer(peer)
         engine.matcher.reset_peer(peer)
         self.engine.tracer.emit(self.sim.now, self._name, "teardown",
                                 peer=peer, deferred=len(deferred))
@@ -401,7 +373,7 @@ class SessionLayer:
     def note_interest(self, peer: int) -> None:
         """The application awaits ``peer`` (a sourced receive was posted):
         watch its liveness even though we may never transmit to it."""
-        if not self.active or peer == self.engine.node_id or peer < 0:
+        if peer == self.engine.node_id or peer < 0:
             return
         st = self._peer(peer)
         if st.sess_state == "unknown":
@@ -413,12 +385,10 @@ class SessionLayer:
         self._arm_monitor(st)
 
     def _needs_monitor(self, peer: int) -> bool:
-        st = self._peers[peer]
         engine = self.engine
         return bool(
-            st.deferred_tx
-            or engine.window.backlog(peer)
-            or engine.reliability.has_outstanding(peer)
+            engine.window.backlog(peer)
+            or any(layer.has_outstanding(peer) for layer in engine.layers)
             or engine.rendezvous.involves_peer(peer)
             or engine.collect.has_deferred_to(peer)
             or engine.matcher.has_posted_from(peer)
@@ -443,17 +413,12 @@ class SessionLayer:
         return min(eff, self.params.hb_timeout_us)
 
     def _arm_monitor(self, st: _PeerSession) -> None:
-        if st.mon_armed or st.sess_state == "dead":
+        if st.sess_state == "dead" or self.timers.armed((st.peer, "mon")):
             return
-        st.mon_armed = True
-        st.mon_gen += 1
-        gen = st.mon_gen
-        self.sim.schedule(self.params.hb_interval_us,
-                          lambda: self._mon_tick(st, gen))
+        self.timers.arm((st.peer, "mon"), self.params.hb_interval_us,
+                        self._mon_tick, st)
 
-    def _mon_tick(self, st: _PeerSession, gen: int) -> None:
-        if gen != st.mon_gen or not st.mon_armed or self.engine.halted:
-            return
+    def _mon_tick(self, st: _PeerSession) -> None:
         if not self._needs_monitor(st.peer):
             # No business with the peer: go dormant so an idle engine's
             # event queue drains (the next send or post re-arms us).
@@ -464,7 +429,6 @@ class SessionLayer:
                 st.suspect = False
                 self.engine.tracer.emit(self.sim.now, self._name,
                                         "suspect_dropped", peer=st.peer)
-            st.mon_armed = False
             return
         now = self.sim.now
         silence = now - st.last_heard_us
@@ -485,15 +449,12 @@ class SessionLayer:
                                          payload="ping")
             else:
                 self._send_session_frame(st, FrameKind.SESSION_HELLO)
-        self.sim.schedule(self.params.hb_interval_us,
-                          lambda: self._mon_tick(st, gen))
+        self._arm_monitor(st)
 
     # -- lifecycle -----------------------------------------------------------
     def halt(self) -> None:
-        """This node crashed: silence every timer, drop buffered frames."""
+        """This node crashed: drop buffered frames, run no callbacks."""
         for st in self._peers.values():
-            st.mon_armed = False
-            st.mon_gen += 1
             st.deferred_tx.clear()
 
     # -- introspection -------------------------------------------------------
@@ -519,9 +480,11 @@ class SessionLayer:
     @property
     def quiesced(self) -> bool:
         """True when no frame is buffered behind a handshake."""
-        if not self.active:
-            return True
         return all(not st.deferred_tx for st in self._peers.values())
+
+    def has_outstanding(self, peer: int) -> bool:
+        st = self._peers.get(peer)
+        return st is not None and bool(st.deferred_tx)
 
     @property
     def n_deferred_tx(self) -> int:
@@ -529,7 +492,7 @@ class SessionLayer:
 
     @property
     def n_monitors_armed(self) -> int:
-        return sum(1 for st in self._peers.values() if st.mon_armed)
+        return self.timers.count("mon")
 
     def describe_peer(self, peer: int) -> str:
         """One-line session diagnostic for the stall report."""
@@ -545,5 +508,5 @@ class SessionLayer:
                 f"epoch={st.epoch} heard={st.last_heard_us:g}us{flags}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SessionLayer {self._name} mode={self.mode} "
-                f"inc={self.incarnation} peers={len(self._peers)}>")
+        return (f"<SessionLayer {self._name} inc={self.incarnation} "
+                f"peers={len(self._peers)}>")

@@ -21,11 +21,18 @@ into the frame's ``cpu_gap``.  When the NIC lacks gather/scatter, building
 an aggregate additionally pays a host copy per extra segment (paper §2's
 "accumulate packets in order to make use of some gather/scatter
 capabilities" — without the capability the accumulation is paid in copies).
+
+The layer owns the NICs, so it also owns rail election (which healthy
+rail carries a frame to a peer) and both ends of the opt-in layer stack:
+:meth:`post_frame` is the bottom transmit hop and :meth:`demux_frame` the
+top receive hop.  In paper mode no opt-in layer is built and the two meet
+directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Set
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -47,6 +54,7 @@ from repro.netsim.nic import Nic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
+    from repro.core.peerlayer import ReceiveHop, SendHop
     from repro.core.rendezvous import RdvSendState
 
 __all__ = ["TransferLayer"]
@@ -59,9 +67,14 @@ class TransferLayer:
         self.engine = engine
         self.nics = list(engine.node.nics)
         self.sent_wraps: set[int] = set()
-        # Flow-control hooks are skipped entirely in the default "off" mode
-        # so the hot path stays byte- and microsecond-identical.
-        self._fc_active = engine.flowcontrol.active
+        #: Rails out of service.  The reliability layer, when built, shares
+        #: its quarantine set here and is the set's only writer.
+        self.quarantined: Set[int] = frozenset()
+        #: The two ends of the opt-in layer stack, wired by the engine: the
+        #: top transmit hop and the bottom receive hop.  With no layer built
+        #: they are this layer's own NIC post and demultiplexer.
+        self.send_frame: SendHop = self.post_frame
+        self.receive_frame: ReceiveHop = self.demux_frame
         self._pull_pending = [False] * len(self.nics)
         # One pull thunk and one reusable SchedulingContext per rail: the
         # pull path runs once per NIC refill (the paper's §5.1 critical-path
@@ -74,21 +87,9 @@ class TransferLayer:
         # Paper §3.2's second/third dispatch policies: at most one packet is
         # pre-synthesized while every NIC is busy, waiting to be re-fed.
         self._anticipated: tuple[SendPlan, list] | None = None
-        # Every arrival funnels through the session layer first in "epoch"
-        # mode (epoch fencing, handshake/heartbeat absorption), then the
-        # reliability layer (checksum verification, ack processing,
-        # duplicate suppression), then the flow-control layer (grant
-        # application, credit/nack handling); with every mode "off" that
-        # is a straight pass-through to demux_frame.  The front of the
-        # funnel is chosen once, here, so the default hot path never even
-        # reads the session mode.
-        rx_front = (engine.sessions.on_frame if engine.sessions.active
-                    else engine.reliability.on_frame)
         for nic in self.nics:
             nic.add_idle_callback(self._on_idle)
-            nic.set_receive_handler(
-                lambda frame, rail=nic.rail: rx_front(rail, frame)
-            )
+            nic.set_receive_handler(partial(self._receive, nic.rail))
 
     @property
     def has_anticipated(self) -> bool:
@@ -98,69 +99,96 @@ class TransferLayer:
     def uncommit_anticipated(self, wrap: PacketWrap) -> bool:
         """Unwind the anticipated packet if it holds ``wrap``.
 
-        A wrap inside a pre-synthesized packet has been taken from the
-        window but has *not* left the node — no NIC accepted it yet — so a
-        cancellation can still succeed.  The whole prepared packet is
-        dissolved: announcements are retracted from the rendezvous table
-        (the peer never saw them) and every wrap returns to the window for
-        the next pull to re-plan.  Returns ``True`` if ``wrap`` was held.
+        A wrap inside a pre-synthesized packet has not left the node — no
+        NIC accepted it yet — so a cancellation can still succeed.
+        Returns ``True`` if ``wrap`` was held.
         """
         if self._anticipated is None:
             return False
-        plan, items = self._anticipated
-        held = plan.taken + plan.announced
-        if all(w.wrap_id != wrap.wrap_id for w in held):
+        plan = self._anticipated[0]
+        if all(w.wrap_id != wrap.wrap_id
+               for w in plan.taken + plan.announced):
             return False
-        self._anticipated = None
-        for item in items:
-            if isinstance(item, RdvReqItem):
-                self.engine.rendezvous.retract(item.handle)
-        for w in held:
-            self.engine.window.restore(w)
-        if self._fc_active:
-            for w in plan.taken:
-                if not w.is_control and not w.credit_exempt:
-                    self.engine.flowcontrol.refund(plan.dest, w.length)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.transfer",
-                                "unanticipate", dest=plan.dest,
-                                items=len(items))
+        self._unwind_anticipated()
         return True
 
-    def discard_anticipated_for(self, dest: int) -> bool:
+    def discard_anticipated_for(self, dest: int) -> None:
         """Dissolve the anticipated packet if it targets ``dest``.
 
-        The session layer's peer-teardown path: the prepared packet's wraps
-        go back into the window (where the teardown's drain then collects
-        and fails them) and their credit is refunded (the ledger is zeroed
-        right after) — the same unwind as :meth:`uncommit_anticipated`,
-        keyed by destination instead of by wrap.
+        The session layer's peer-teardown path: the wraps go back into the
+        window, where the teardown's drain then collects and fails them.
         """
-        if self._anticipated is None:
-            return False
+        if self._anticipated is not None and self._anticipated[0].dest == dest:
+            self._unwind_anticipated()
+
+    def _unwind_anticipated(self) -> None:
+        """Dissolve the prepared packet: retract its announcements (the
+        peer never saw them), return every wrap to the window and refund
+        the credit its eager wraps consumed."""
+        assert self._anticipated is not None
         plan, items = self._anticipated
-        if plan.dest != dest:
-            return False
         self._anticipated = None
         for item in items:
             if isinstance(item, RdvReqItem):
                 self.engine.rendezvous.retract(item.handle)
         for w in plan.taken + plan.announced:
             self.engine.window.restore(w)
-        if self._fc_active:
+        flowcontrol = self.engine.flowcontrol
+        if flowcontrol is not None:
             for w in plan.taken:
                 if not w.is_control and not w.credit_exempt:
-                    self.engine.flowcontrol.refund(dest, w.length)
+                    flowcontrol.refund(plan.dest, w.length)
         self.engine.tracer.emit(self.engine.sim.now,
                                 f"node{self.engine.node_id}.transfer",
-                                "unanticipate", dest=dest, items=len(items))
-        return True
+                                "unanticipate", dest=plan.dest,
+                                items=len(items))
+
+    # -- rail election ---------------------------------------------------------
+    def rail_ok(self, rail: int) -> bool:
+        """May work still be scheduled on this rail (not quarantined)?"""
+        return rail not in self.quarantined
+
+    def _healthy_rails(self, peer: int, exclude: int | None = None
+                       ) -> list[int]:
+        """The election candidates: unquarantined rails reaching ``peer``."""
+        return [r for r, nic in enumerate(self.nics)
+                if r != exclude and r not in self.quarantined
+                and nic.has_peer(peer)]
+
+    def _rail_score(self, rail: int) -> tuple[int, int]:
+        """Queue-depth congestion score for one rail (lower is better)."""
+        nic = self.nics[rail]
+        depth = nic.queued + (0 if nic.idle else 1)
+        return depth, self.engine.window.pending_bytes(rail)
+
+    def choose_rail(self, peer: int, prefer: int = 0) -> int:
+        """Least-congested healthy rail with a path to ``peer``.
+
+        Each candidate is scored by its NIC's tx occupancy (queued frames,
+        +1 while serializing), the window's pending bytes breaking ties.
+        ``prefer`` stays sticky unless another rail is *strictly* less
+        congested.
+        """
+        candidates = self._healthy_rails(peer)
+        if not candidates:
+            return prefer  # no healthy alternative: keep trying where we were
+        if len(candidates) == 1:
+            return candidates[0]
+        best = min(candidates, key=self._rail_score)
+        if prefer in candidates:
+            if self._rail_score(best) < self._rail_score(prefer):
+                return best
+            return prefer
+        return best
+
+    def second_best_rail(self, peer: int, exclude: int) -> int | None:
+        """Least-congested healthy rail other than ``exclude``, if any."""
+        candidates = self._healthy_rails(peer, exclude)
+        if not candidates:
+            return None
+        return min(candidates, key=self._rail_score)
 
     # -- refill machinery -----------------------------------------------------
-    def _rail_ok(self, rail: int) -> bool:
-        """May work still be scheduled on this rail (not quarantined)?"""
-        return self.engine.reliability.rail_ok(rail)
-
     def kick(self) -> None:
         """New work exists: schedule a pull on every currently idle NIC."""
         if self.engine.halted:
@@ -168,7 +196,7 @@ class TransferLayer:
         any_idle = False
         schedule = self.engine.sim.schedule
         for nic in self.nics:
-            if not self._rail_ok(nic.rail):
+            if not self.rail_ok(nic.rail):
                 continue
             if nic.idle and not self._pull_pending[nic.rail]:
                 self._pull_pending[nic.rail] = True
@@ -186,7 +214,7 @@ class TransferLayer:
         A prepared packet may be handed to *any* NIC later, so it is sized
         against the most restrictive (smallest) rendezvous threshold.
         """
-        rails = [r for r in range(len(self.nics)) if self._rail_ok(r)]
+        rails = [r for r in range(len(self.nics)) if self.rail_ok(r)]
         if not rails:
             rails = list(range(len(self.nics)))
         return min(rails, key=lambda r: self.nics[r].profile.rdv_threshold)
@@ -205,8 +233,7 @@ class TransferLayer:
                 now=self.engine.sim.now,
                 src_node=self.engine.node_id,
                 sent_wraps=self.sent_wraps,
-                flowcontrol=(self.engine.flowcontrol
-                             if self._fc_active else None),
+                flowcontrol=self.engine.flowcontrol,
             )
             self._contexts[rail] = ctx
         else:
@@ -220,7 +247,7 @@ class TransferLayer:
             return
         if self._anticipated is not None:
             return
-        if any(nic.idle and self._rail_ok(nic.rail) for nic in self.nics):
+        if any(nic.idle and self.rail_ok(nic.rail) for nic in self.nics):
             return  # an idle NIC will pull directly
         if (params.dispatch_policy == "backlog"
                 and len(self.engine.window) < params.backlog_flush_threshold):
@@ -243,7 +270,7 @@ class TransferLayer:
         if self.engine.halted:
             return  # a pull scheduled just before the crash landed
         nic = self.nics[rail]
-        if not nic.idle or not self._rail_ok(rail):
+        if not nic.idle or not self.rail_ok(rail):
             return
         params = self.engine.params
         if self._anticipated is not None:
@@ -284,13 +311,14 @@ class TransferLayer:
         engine = self.engine
         for wrap in plan.taken + plan.announced:
             engine.window.take(wrap)
-        if self._fc_active:
+        flowcontrol = engine.flowcontrol
+        if flowcontrol is not None:
             # Credit is spent at commit time: announced (rendezvous) wraps
             # are exempt — the grant protocol paces them end to end — and
             # NACK resends were charged when their original went out.
             for wrap in plan.taken:
                 if not wrap.is_control and not wrap.credit_exempt:
-                    engine.flowcontrol.consume(plan.dest, wrap.length)
+                    flowcontrol.consume(plan.dest, wrap.length)
         items = list(plan.items)
         for wrap in plan.announced:
             items.append(engine.rendezvous.announce(wrap, rail=rail))
@@ -331,12 +359,10 @@ class TransferLayer:
         engine.tracer.emit(engine.sim.now, f"node{engine.node_id}.transfer",
                            "send_plan", rail=nic.rail, dest=plan.dest,
                            items=len(items), wire=wire)
-        if self._fc_active:
-            engine.flowcontrol.stamp(frame)
-        engine.reliability.send(
-            nic, frame, cpu_gap_us=cpu_gap,
-            on_delivered=lambda: self._plan_sent(plan),
-            on_failed=lambda exc: self._plan_failed(plan, items, exc),
+        self.send_frame(
+            nic, frame, cpu_gap,
+            lambda: self._plan_sent(plan),
+            lambda exc: self._plan_failed(plan, items, exc),
         )
         # With an anticipation policy active, the NIC just went busy: start
         # preparing the next packet off the critical path right away.
@@ -391,16 +417,42 @@ class TransferLayer:
         engine.tracer.emit(engine.sim.now, f"node{engine.node_id}.transfer",
                            "send_bulk", rail=nic.rail, dest=state.wrap.dest,
                            offset=item.offset, nbytes=item.data.nbytes)
-        if self._fc_active:
-            engine.flowcontrol.stamp(frame)
-        engine.reliability.send(
-            nic, frame, cpu_gap_us=cpu_gap,
-            on_delivered=lambda: engine.rendezvous.chunk_sent(state, item),
-            on_failed=lambda exc: engine.rendezvous.chunk_failed(
-                state, item, exc),
+        self.send_frame(
+            nic, frame, cpu_gap,
+            lambda: engine.rendezvous.chunk_sent(state, item),
+            lambda exc: engine.rendezvous.chunk_failed(state, item, exc),
         )
 
+    def post_frame(
+        self,
+        nic: Nic,
+        frame: Frame,
+        cpu_gap_us: float = 0.0,
+        on_delivered: Callable[[], None] | None = None,
+        on_failed: Callable[[BaseException], None] | None = None,
+    ) -> None:
+        """The bottom transmit hop: ``on_delivered`` fires once the frame
+        has fully left the card; a NIC post never fails."""
+        done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
+        if on_delivered is not None:
+            done.add_callback(lambda _evt: on_delivered())
+
     # -- receiving ----------------------------------------------------------------
+    def _receive(self, rail: int, frame: Frame) -> None:
+        """Every engine-NIC arrival enters here, then climbs the layers."""
+        if frame.corrupted:
+            # The checksum the sender appended does not match: discard like
+            # a loss, whatever the frame claimed to be (with reliability the
+            # retransmit timer recovers it; in paper mode the stall is the
+            # loud surface the tests demand).
+            self.engine.stats.corrupt_discards += 1
+            self.engine.tracer.emit(self.engine.sim.now,
+                                    f"node{self.engine.node_id}.transfer",
+                                    "rx_corrupt", frame=frame.frame_id,
+                                    rail=rail)
+            return
+        self.receive_frame(rail, frame)
+
     def demux_frame(self, rail: int, frame: Frame) -> None:
         pkt = frame.payload
         if not isinstance(pkt, PhysPacket):

@@ -130,9 +130,27 @@ def test_interproc_runs_clean_on_the_real_tree():
     report = check_project([str(REPO_ROOT / "src" / "repro")],
                            root=str(REPO_ROOT))
     assert report.ok, [v.render() for v in report.violations]
-    # The flow-control resend decrement is the one justified suppression.
-    assert any(v.code == "NM503" and "flowcontrol" in v.path
-               for v in report.suppressed)
+    # Every layer timer arms through the timer service, whose callback
+    # guards first: NM503 needs no suppression anywhere.
+    assert not any(v.code == "NM503" for v in report.suppressed)
+
+
+def test_timers_rule_covers_the_real_timer_service(tmp_path):
+    # The real arming site is analysed, not skipped: moving the guard of
+    # TimerService._fire below its first write must trip NM503.
+    source = (REPO_ROOT / "src" / "repro" / "core" /
+              "peerlayer.py").read_text(encoding="utf-8")
+    guard = ("        if gen != self._key_gen.get(key):\n"
+             "            return  # superseded, cancelled or fenced since arming\n")
+    write = "        del self._key_gen[key]\n"
+    assert guard + write in source
+    mutant = source.replace(guard + write, write + guard)
+    (tmp_path / "peerlayer.py").write_text(
+        "# nm-path: repro/core/peerlayer.py\n" + mutant, encoding="utf-8")
+    report = check_project([str(tmp_path)], root=str(REPO_ROOT),
+                           checkers=[TimerGenRule])
+    assert codes_of(report) == ["NM503"]
+    assert "_fire" in report.violations[0].message
 
 
 def test_interproc_checker_codes_are_declared_and_unique():

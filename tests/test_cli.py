@@ -69,6 +69,52 @@ class TestCommands:
             run_cli("figures", "--quick", "--iters", "0")
 
 
+class TestPerfCommand:
+    @pytest.fixture
+    def canned_suite(self, monkeypatch):
+        # The committed trajectory stands in for a fresh suite run, so the
+        # gate passes without timing anything.
+        from pathlib import Path
+
+        import repro.bench.perf as perf
+
+        committed = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
+        payload = json.loads(committed.read_text(encoding="utf-8"))
+        monkeypatch.setattr(perf, "run_suite", lambda **kw: payload)
+        return payload
+
+    def test_check_leaves_the_checked_file_untouched(
+            self, tmp_path, monkeypatch, canned_suite):
+        # Regression: --out defaulted to BENCH_perf.json and was written
+        # unconditionally, so `perf --check BENCH_perf.json` rewrote the
+        # very trajectory it gated against.
+        monkeypatch.chdir(tmp_path)
+        checked = tmp_path / "BENCH_perf.json"
+        checked.write_text(json.dumps(canned_suite, indent=4),
+                           encoding="utf-8")
+        before = checked.read_bytes()
+        code, text = run_cli("perf", "--check", "BENCH_perf.json")
+        assert code == 0, text
+        assert "perf gate passed" in text
+        assert checked.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["BENCH_perf.json"]
+
+    def test_check_with_out_writes_only_out(
+            self, tmp_path, monkeypatch, canned_suite):
+        monkeypatch.chdir(tmp_path)
+        checked = tmp_path / "BENCH_perf.json"
+        checked.write_text(json.dumps(canned_suite, indent=4),
+                           encoding="utf-8")
+        before = checked.read_bytes()
+        code, _ = run_cli("perf", "--check", "BENCH_perf.json",
+                          "--out", "fresh.json")
+        assert code == 0
+        assert checked.read_bytes() == before
+        assert json.loads((tmp_path / "fresh.json").read_text()) == \
+            canned_suite
+
+
 class TestReport:
     def test_clean_report(self):
         code, text = run_cli("report", "--messages", "10")

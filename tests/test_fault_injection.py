@@ -30,7 +30,7 @@ def make_pair_with_drops(drop_frame_ids=(), drop_nth=None):
     # Install the injector on node0 -> node1 links only.
     for link in cluster.links:
         if link.src.node_id == 0:
-            link.fault_injector = injector
+            link.fault_plan = injector
     e0 = NmadEngine(cluster.node(0))
     e1 = NmadEngine(cluster.node(1))
     return sim, cluster, e0, e1
@@ -81,7 +81,7 @@ class TestDropVisibility:
 
         for link in cluster.links:
             if link.src.node_id == 1:
-                link.fault_injector = injector
+                link.fault_plan = injector
         e0 = NmadEngine(cluster.node(0))
         e1 = NmadEngine(cluster.node(1))
 
@@ -110,7 +110,7 @@ class TestDropVisibility:
 
         for link in cluster.links:
             if link.src.node_id == 0 and link.dst.node_id == 1:
-                link.fault_injector = injector
+                link.fault_plan = injector
         engines = [NmadEngine(cluster.node(i)) for i in range(3)]
 
         def app():

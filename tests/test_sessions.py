@@ -59,7 +59,7 @@ class TestDefaultsStayPaperFaithful:
         sim.run()
         assert cluster.conservation_ok()
         for engine in (e0, e1):
-            assert not engine.sessions.active
+            assert engine.sessions is None  # paper mode builds no layer
             assert engine.halted is False
             for counter in SESSION_COUNTERS:
                 assert getattr(engine.stats, counter) == 0
@@ -99,12 +99,20 @@ class TestDefaultsStayPaperFaithful:
         assert frame.wire_size == 100 + params.hdr.session_header
 
     def test_off_mode_never_stamps(self):
+        # No session layer exists to stamp anything: frames cross the wire
+        # without a session header.
         sim, cluster, (e0, e1) = make_pair(EngineParams())
-        frame = Frame(src_node=0, dst_node=1, kind=FrameKind.DATA,
-                      wire_size=100)
-        e0.sessions.stamp(frame)
-        assert frame.session is None
-        assert frame.wire_size == 100
+        seen = []
+        nic = cluster.node(1).nic(0)
+        handler = nic._rx_handler
+        nic.set_receive_handler(lambda frame: (seen.append(frame),
+                                               handler(frame)))
+        req = e1.irecv(src=0, tag=0)
+        e0.isend(1, b"x", tag=0)
+        sim.run()
+        assert req.complete
+        assert e0.sessions is None and e1.sessions is None
+        assert seen and all(frame.session is None for frame in seen)
 
 
 class TestHandshake:
@@ -248,7 +256,7 @@ class TestTeardownTimerHygiene:
     def test_nack_resend_timer_is_cancelled_on_peer_death(self):
         # Regression for the ghost-resend bug: a NACK-backoff timer armed
         # before the peer died must not re-submit the old-epoch segment
-        # after the teardown.  Without the resend_gen bump in
+        # after the teardown.  Without the resend-timer fence in
         # FlowControlLayer.reset_peer this fails: nack_resends grows after
         # the death and the stale wrap re-enters the window.
         params = EngineParams(sessions="epoch", reliability="ack",
@@ -284,7 +292,7 @@ class TestTeardownTimerHygiene:
     def test_credit_grant_timer_is_cancelled_on_peer_death(self):
         # The mirror image on the receiver side: a delayed credit grant
         # scheduled toward a peer that then dies must never fire.  Without
-        # the grant_gen bump in reset_peer, credits_granted grows at
+        # the grant-timer fence in reset_peer, credits_granted grows at
         # t = grant_delay and the frame goes to a corpse.
         params = EngineParams(sessions="epoch", reliability="ack",
                               rel_timeout_us=100.0, rel_ack_delay_us=5.0,
