@@ -7,7 +7,7 @@ Usage::
     python -m repro figures --only fig3     # one figure family
     python -m repro strategies              # list the strategy database
     python -m repro profiles                # list NIC profiles
-    python -m repro perf                    # host-side wall-clock benchmarks
+    python -m repro perf                    # window/kernel vs frozen references
 
 The output is the same tables the benchmark harness prints (size rows, one
 column per backend, peak/mean gains), suitable for diffing against
@@ -17,6 +17,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections.abc import Sequence
 
@@ -27,6 +28,7 @@ from repro.bench import (
     run_figure3,
     run_figure4,
 )
+from repro.core.engine import EngineStats
 from repro.netsim import KB, MB, MX_MYRI10G, PROFILES, QUADRICS_QM500
 
 __all__ = ["main", "build_parser"]
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="run host-side wall-clock microbenchmarks of the engine")
+        help="time the window and kernel against their frozen references")
     perf.add_argument("--quick", action="store_true",
                       help="short runs (CI smoke; noisier numbers)")
     perf.add_argument("--out", default=None, metavar="PATH",
@@ -70,13 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "BENCH_perf.json, or nowhere with --check)")
     perf.add_argument("--backlog", type=int, default=1000,
                       help="held window depth for the window-ops bench")
-    perf.add_argument("--scale-nodes", type=int, default=256,
-                      help="hypercube size for the scale bench "
-                           "(power of two, up to 1024; default: 256)")
     perf.add_argument("--check", metavar="PATH", default=None,
                       help="gate the fresh run against a committed "
                            "BENCH_perf.json trajectory (host-neutral "
-                           "speedup ratios + simulated-time pins); "
+                           "speedup ratios + the storm floor); "
                            "exit 1 on regression")
 
     report = sub.add_parser(
@@ -264,59 +263,31 @@ def _profiles(out) -> None:
         ))
 
 
-# The report's engine-stats table, grouped by subsystem.  The groups must
-# jointly cover every EngineStats field (asserted at report time) so a new
-# counter cannot silently fall out of the report.
-REPORT_STAT_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("core", (
-        "phys_packets", "items_sent", "aggregated_packets",
-        "aggregated_segments", "anticipated_hits", "eager_bytes",
-        "rdv_bytes", "wire_bytes", "recv_copies", "recv_copy_bytes",
-    )),
-    ("reliability", (
-        "retransmits", "duplicates_suppressed", "failovers",
-        "rails_quarantined", "rails_reprobed", "acks_sent",
-        "corrupt_discards", "transport_failures",
-    )),
-    ("flow_control", (
-        "credit_stalls", "window_full_events", "unexpected_overflows",
-        "credits_granted", "nacks_sent", "nack_resends",
-    )),
-    ("sessions", (
-        "peers_suspected", "peers_dead", "epochs_started",
-        "stale_frames_fenced", "heartbeats_sent",
-    )),
-    # Chaos / partition-tolerance counters: parking while suspected and
-    # recoveries that healed without a teardown.
-    ("partition", (
-        "peers_recovered", "frames_parked",
-    )),
-    # Adaptive-timing counters (rel_timeout_us="auto" and per-request
-    # deadlines): estimator feed, backoff pressure, tail hedging, expiries.
-    ("adaptive", (
-        "rtt_samples", "rto_backoffs", "hedges_sent", "hedges_won",
-        "deadlines_expired",
-    )),
-)
+def _stat_groups() -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """``EngineStats`` fields by report group, in declaration order."""
+    groups: dict[str, list[str]] = {}
+    for f in dataclasses.fields(EngineStats):
+        groups.setdefault(f.metadata["group"], []).append(f.name)
+    return tuple((group, tuple(names)) for group, names in groups.items())
+
+
+# The report's engine-stats table, grouped by subsystem.  Derived from the
+# fields' metadata, so every counter is in exactly one group.
+REPORT_STAT_GROUPS = _stat_groups()
 
 
 def _report_payload(args, pair, messages, stalled) -> dict:
     """Structured report: one dict, rendered as text or dumped as JSON."""
-    import dataclasses
-
     from repro.netsim.stats import (
         adaptive_summary,
         cluster_utilization,
         topology_summary,
     )
 
-    grouped_fields = {f for _, fields in REPORT_STAT_GROUPS for f in fields}
     engines = []
     for mpi in pair.ranks:
         engine = mpi.engine
         stats = dataclasses.asdict(engine.stats)
-        missing = sorted(set(stats) - grouped_fields)
-        assert not missing, f"EngineStats fields not in any group: {missing}"
         engines.append({
             "node": engine.node_id,
             "strategy": engine.strategy.describe(),
@@ -678,8 +649,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             # file, and the gate must compare against the committed copy.
             with open(args.check, encoding="utf-8") as fh:
                 baseline = _json.load(fh)
-        payload = run_suite(quick=args.quick, backlog=args.backlog,
-                            scale_nodes=args.scale_nodes)
+        payload = run_suite(quick=args.quick, backlog=args.backlog)
         _print(out, render_perf(payload))
         # A gate run is read-only unless asked to keep the fresh payload.
         out_path = args.out or (None if args.check else "BENCH_perf.json")

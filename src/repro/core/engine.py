@@ -48,8 +48,8 @@ from repro.netsim.profiles import NicProfile
 from repro.sim import Event, Tracer
 from repro.sim.core import Watchdog
 
-__all__ = ["EngineParams", "EngineStats", "NmadEngine", "RX_ORDER",
-           "TX_ORDER"]
+__all__ = ["EngineParams", "EngineStats", "NmadEngine", "RTO_HEADROOM",
+           "RX_ORDER", "TX_ORDER"]
 
 #: Transmit order of the opt-in layers, from the transfer layer down to
 #: the NIC; each entry is an ``NmadEngine`` attribute whose ``send`` is
@@ -65,6 +65,10 @@ TX_ORDER = ("flowcontrol", "sessions", "reliability")
 #: the new epoch; flow control then sees only fresh, deduplicated frames.
 RX_ORDER = (("sessions", "on_frame"), ("reliability", "on_frame"),
             ("flowcontrol", "accept"))
+#: Queueing headroom on the measured RTO (``rel_timeout_us="auto"``):
+#: the estimator's ``srtt + 4*rttvar`` is multiplied by this before the
+#: clamp, so a queue building up behind a frame does not time it out.
+RTO_HEADROOM = 2.0
 
 
 @dataclass(frozen=True)
@@ -107,19 +111,18 @@ class EngineParams:
     #: ``"ack"`` turns on the sliding-window ack/retransmit protocol with
     #: rail failover.
     reliability: str = "off"
-    #: Initial retransmit timeout, doubled (``rel_backoff``) per retry.
+    #: Initial retransmit timeout, doubled
+    #: (:data:`~repro.core.reliability.RTO_BACKOFF`) per retry.
     #: The string ``"auto"`` (requires ``reliability="ack"``) replaces the
     #: static constant with a measured one: per-peer Jacobson SRTT/RTTVAR
     #: estimation (see :mod:`repro.core.rttstat`) derives the RTO as
-    #: ``rel_rto_headroom * (srtt + 4*rttvar)`` clamped into
+    #: :data:`RTO_HEADROOM` ``* (srtt + 4*rttvar)`` clamped into
     #: ``[rel_rto_floor_us, rel_rto_ceiling_us]``.
     rel_timeout_us: float | str = 200.0
-    rel_backoff: float = 2.0
-    #: Clamp bounds and queueing headroom for the ``"auto"`` RTO.  The
-    #: ceiling doubles as the conservative pre-measurement RTO.
+    #: Clamp bounds for the ``"auto"`` RTO.  The ceiling doubles as the
+    #: conservative pre-measurement RTO.
     rel_rto_floor_us: float = 50.0
     rel_rto_ceiling_us: float = 10_000.0
-    rel_rto_headroom: float = 2.0
     #: Opt-in tail hedging (requires ``rel_timeout_us="auto"`` and >= 2
     #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
     #: it has been outstanding past a p99-ish quantile of that rail's
@@ -187,9 +190,14 @@ class EngineParams:
     hb_timeout_us: float = 500.0
 
     def __post_init__(self) -> None:
-        if min(self.pull_cost_us, self.per_mtu_cost_us,
-               self.demux_packet_cost_us, self.demux_item_cost_us,
-               self.anticipated_pull_cost_us) < 0:
+        # Every float check below is written ``not x >= 0`` / ``not x > 0``
+        # so that NaN, which fails every comparison, is rejected too: a NaN
+        # delay becomes a NaN deadline that no timer ever expires.
+        costs = (self.pull_cost_us, self.per_mtu_cost_us,
+                 self.demux_packet_cost_us, self.demux_item_cost_us,
+                 self.anticipated_pull_cost_us,
+                 *(cost for _, cost in self.per_mtu_cost_by_tech))
+        if not all(cost >= 0 for cost in costs):
             raise ValueError("negative scheduler cost")
         if self.dispatch_policy not in ("on_idle", "anticipate", "backlog"):
             raise ValueError(
@@ -216,14 +224,12 @@ class EngineParams:
                     "rel_timeout_us='auto' needs reliability='ack': the "
                     "RTT estimator samples the ack machinery"
                 )
-        elif self.rel_timeout_us <= 0:
+        elif not self.rel_timeout_us > 0:
             raise ValueError("retransmit timeout must be positive")
-        if self.rel_rto_floor_us <= 0:
+        if not self.rel_rto_floor_us > 0:
             raise ValueError("RTO floor must be positive")
-        if self.rel_rto_ceiling_us < self.rel_rto_floor_us:
+        if not self.rel_rto_ceiling_us >= self.rel_rto_floor_us:
             raise ValueError("RTO ceiling must be >= floor")
-        if self.rel_rto_headroom < 1.0:
-            raise ValueError("RTO headroom must be >= 1")
         if self.rel_hedge not in ("off", "tail"):
             raise ValueError(
                 f"unknown rel_hedge mode {self.rel_hedge!r}; "
@@ -234,15 +240,13 @@ class EngineParams:
                 "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
                 "delay is a quantile of the measured RTT"
             )
-        if self.rel_backoff < 1.0:
-            raise ValueError("retransmit backoff must be >= 1")
         if self.rel_retry_budget < 1:
             raise ValueError("retry budget must be >= 1")
-        if self.rel_ack_delay_us < 0:
+        if not self.rel_ack_delay_us >= 0:
             raise ValueError("negative ack delay")
         if self.rel_quarantine_threshold < 1:
             raise ValueError("quarantine threshold must be >= 1")
-        if not self.rel_probe_after_us >= 0:  # rejects negatives and NaN
+        if not self.rel_probe_after_us >= 0:
             raise ValueError("rail probe delay must be >= 0")
         if self.flow_control not in ("off", "credit"):
             raise ValueError(
@@ -251,9 +255,9 @@ class EngineParams:
             )
         if self.credit_bytes < 1 or self.credit_wraps < 1:
             raise ValueError("credit budgets must be positive")
-        if self.credit_grant_delay_us < 0:
+        if not self.credit_grant_delay_us >= 0:
             raise ValueError("negative credit grant delay")
-        if self.nack_delay_us < 0:
+        if not self.nack_delay_us >= 0:
             raise ValueError("negative nack delay")
         if self.max_window_wraps < 0 or self.max_window_bytes < 0:
             raise ValueError("negative window cap")
@@ -270,16 +274,16 @@ class EngineParams:
                 "refused message is only recoverable through the "
                 "NACK-and-resend path"
             )
-        if self.watchdog_interval_us < 0:
+        if not self.watchdog_interval_us >= 0:
             raise ValueError("negative watchdog interval")
         if self.sessions not in ("off", "epoch"):
             raise ValueError(
                 f"unknown sessions mode {self.sessions!r}; "
                 "expected off | epoch"
             )
-        if self.hb_interval_us <= 0:
+        if not self.hb_interval_us > 0:
             raise ValueError("heartbeat interval must be positive")
-        if self.hb_timeout_us < 2 * self.hb_interval_us:
+        if not self.hb_timeout_us >= 2 * self.hb_interval_us:
             raise ValueError(
                 "hb_timeout_us must be at least 2*hb_interval_us: a "
                 "timeout shorter than two monitor ticks declares a peer "
@@ -299,54 +303,86 @@ class EngineParams:
         return self.per_mtu_cost_us
 
 
+def _counter(group: str) -> int:
+    """A zero-initialized :class:`EngineStats` counter in report ``group``."""
+    return field(default=0, metadata={"group": group})
+
+
 @dataclass
 class EngineStats:
-    """Counters the tests, benches and ablations read."""
+    """Counters the tests, benches and ablations read.
 
-    phys_packets: int = 0
-    items_sent: int = 0
-    aggregated_packets: int = 0    # physical packets carrying >= 2 segments
-    aggregated_segments: int = 0   # segments travelling in such packets
-    anticipated_hits: int = 0      # idle NICs refilled from a prepared packet
-    eager_bytes: int = 0
-    rdv_bytes: int = 0
-    wire_bytes: int = 0
-    recv_copies: int = 0
-    recv_copy_bytes: int = 0
+    Flat on purpose (``vars(stats)`` is every counter); each field names
+    its ``repro report`` group in its metadata, and the report lists the
+    groups in the order their first field appears here.
+    """
+
+    phys_packets: int = _counter("core")
+    items_sent: int = _counter("core")
+    #: Physical packets carrying >= 2 segments.
+    aggregated_packets: int = _counter("core")
+    #: Segments travelling in such packets.
+    aggregated_segments: int = _counter("core")
+    #: Idle NICs refilled from a prepared packet.
+    anticipated_hits: int = _counter("core")
+    eager_bytes: int = _counter("core")
+    rdv_bytes: int = _counter("core")
+    wire_bytes: int = _counter("core")
+    recv_copies: int = _counter("core")
+    recv_copy_bytes: int = _counter("core")
     # Reliability-layer counters (all zero in "off" mode, except
     # corrupt_discards: every engine discards a frame that fails its
     # checksum).
-    retransmits: int = 0
-    duplicates_suppressed: int = 0
-    failovers: int = 0
-    rails_quarantined: int = 0
-    rails_reprobed: int = 0        # half-open probes that lifted a quarantine
-    acks_sent: int = 0
-    corrupt_discards: int = 0
-    transport_failures: int = 0
+    retransmits: int = _counter("reliability")
+    duplicates_suppressed: int = _counter("reliability")
+    failovers: int = _counter("reliability")
+    rails_quarantined: int = _counter("reliability")
+    #: Half-open probes that lifted a quarantine.
+    rails_reprobed: int = _counter("reliability")
+    acks_sent: int = _counter("reliability")
+    corrupt_discards: int = _counter("reliability")
+    transport_failures: int = _counter("reliability")
     # Flow-control counters (all zero in "off" mode).
-    credit_stalls: int = 0         # destination transitions to credit-blocked
-    window_full_events: int = 0    # submissions deferred or refused at the cap
-    unexpected_overflows: int = 0  # eager arrivals refused by the matcher
-    credits_granted: int = 0       # grants advertising newly released credit
-    nacks_sent: int = 0            # refused segments bounced to their sender
-    nack_resends: int = 0          # bounced segments re-entered the window
+    #: Destination transitions to credit-blocked.
+    credit_stalls: int = _counter("flow_control")
+    #: Submissions deferred or refused at the cap.
+    window_full_events: int = _counter("flow_control")
+    #: Eager arrivals refused by the matcher.
+    unexpected_overflows: int = _counter("flow_control")
+    #: Grants advertising newly released credit.
+    credits_granted: int = _counter("flow_control")
+    #: Refused segments bounced to their sender.
+    nacks_sent: int = _counter("flow_control")
+    #: Bounced segments re-entered the window.
+    nack_resends: int = _counter("flow_control")
     # Session-layer counters (all zero in "off" mode).
-    peers_suspected: int = 0       # peers that crossed half the hb timeout
-    peers_dead: int = 0            # peers confirmed dead by the detector
-    epochs_started: int = 0        # sessions established (first contact too)
-    stale_frames_fenced: int = 0   # frames discarded for a stale incarnation
-    heartbeats_sent: int = 0       # idle-path probes and probe replies
+    #: Peers that crossed half the hb timeout.
+    peers_suspected: int = _counter("sessions")
+    #: Peers confirmed dead by the detector.
+    peers_dead: int = _counter("sessions")
+    #: Sessions established (first contact too).
+    epochs_started: int = _counter("sessions")
+    #: Frames discarded for a stale incarnation.
+    stale_frames_fenced: int = _counter("sessions")
+    #: Idle-path probes and probe replies.
+    heartbeats_sent: int = _counter("sessions")
     # Partition-tolerance counters (all zero in "off" mode).
-    peers_recovered: int = 0       # suspects that resumed contact (no teardown)
-    frames_parked: int = 0         # outbound frames held while a peer was suspect
+    #: Suspects that resumed contact (no teardown).
+    peers_recovered: int = _counter("partition")
+    #: Outbound frames held while a peer was suspect.
+    frames_parked: int = _counter("partition")
     # Adaptive-timing counters (all zero outside rel_timeout_us="auto",
     # except deadlines_expired which any deadline_us request can bump).
-    rtt_samples: int = 0           # acks that fed the estimator (Karn-eligible)
-    rto_backoffs: int = 0          # retransmits that doubled an adaptive RTO
-    hedges_sent: int = 0           # tail re-sends on the second-best rail
-    hedges_won: int = 0            # hedged frames whose ack beat the original
-    deadlines_expired: int = 0     # requests failed by their deadline_us
+    #: Acks that fed the estimator (Karn-eligible).
+    rtt_samples: int = _counter("adaptive")
+    #: Retransmits that doubled an adaptive RTO.
+    rto_backoffs: int = _counter("adaptive")
+    #: Tail re-sends on the second-best rail.
+    hedges_sent: int = _counter("adaptive")
+    #: Hedged frames whose ack beat the original.
+    hedges_won: int = _counter("adaptive")
+    #: Requests failed by their deadline_us.
+    deadlines_expired: int = _counter("adaptive")
 
 
 class NmadEngine:
@@ -407,7 +443,7 @@ class NmadEngine:
             self.rtt = RttEstimator(
                 floor_us=self.params.rel_rto_floor_us,
                 ceiling_us=self.params.rel_rto_ceiling_us,
-                headroom=self.params.rel_rto_headroom,
+                headroom=RTO_HEADROOM,
             )
         self.transfer = TransferLayer(self)
         # The opt-in layers: built only when enabled, so paper mode has none.

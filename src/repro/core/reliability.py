@@ -14,7 +14,7 @@ survive lossy links and failing rails:
   piggybacked on any reverse frame, or as a small standalone ack frame
   after ``rel_ack_delay_us`` of reverse silence;
 * unacked frames are kept in a per-peer send buffer and retransmitted on
-  an **exponential-backoff timer** (``rel_timeout_us`` × ``rel_backoff``
+  an **exponential-backoff timer** (``rel_timeout_us`` × :data:`RTO_BACKOFF`
   per retry), over the healthiest rail with a link to the peer;
 * the receive side **suppresses duplicates** before the demultiplexer, so
   the matcher and the rendezvous reassembly never see a frame twice;
@@ -57,7 +57,11 @@ from repro.netsim.nic import Nic
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
 
-__all__ = ["ReliabilityLayer"]
+__all__ = ["RTO_BACKOFF", "ReliabilityLayer"]
+
+#: Factor a channel's retransmit timeout grows by on every retransmit
+#: (capped at 64x the base RTO).
+RTO_BACKOFF = 2.0
 
 
 class _Pending:
@@ -269,7 +273,7 @@ class ReliabilityLayer(PeerLayer[_Channel]):
                                     seq=pending.seq, peer=ch.peer,
                                     from_rail=pending.rail, to_rail=rail)
             pending.rail = rail
-        ch.rto_us = min(ch.rto_us * params.rel_backoff,
+        ch.rto_us = min(ch.rto_us * RTO_BACKOFF,
                         64.0 * self._rto_base_us(ch.peer))
         if self._rtt is not None:
             self.engine.stats.rto_backoffs += 1

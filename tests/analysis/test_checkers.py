@@ -69,6 +69,17 @@ def test_good_counters_is_clean():
     assert report.ok, codes_of(report)
 
 
+def test_stats_counters_match_engine_stats():
+    # NM203/NM204 only guard the counters they are told about: a counter
+    # added to EngineStats but not here would go unchecked.
+    import dataclasses
+
+    from repro.core.engine import EngineStats
+    from tools.analysis.counters import STATS_COUNTERS
+
+    assert STATS_COUNTERS == {f.name for f in dataclasses.fields(EngineStats)}
+
+
 # -- lifecycle discipline (NM3xx) ---------------------------------------------
 
 def test_bad_lifecycle_trips_every_rule():

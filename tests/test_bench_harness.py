@@ -22,6 +22,8 @@ from repro.bench import (
     run_figure4,
 )
 from repro.baselines import MpichMpi, OpenMpi
+from repro.bench.perf import STORM_SPEEDUP_FLOOR, check_bench
+from repro.bench.workloads import TrafficSpec, generate_messages, replay
 from repro.errors import ReproError
 from repro.madmpi import MadMpi
 from repro.netsim import KB, MB, MX_MYRI10G, QUADRICS_QM500
@@ -190,3 +192,70 @@ class TestPingpongRunners:
         mad = pingpong_datatype("madmpi", MX_MYRI10G, 256 * KB, iters=1)
         mpich = pingpong_datatype("mpich", MX_MYRI10G, 256 * KB, iters=1)
         assert mad < mpich
+
+
+class TestSimTimeGuards:
+    """Exact simulated-time pins: host-side tuning must not move them.
+
+    Both readings are deterministic, so they are compared with ``==``:
+    a change that moves either one changed what the model computes.
+    """
+
+    def test_pingpong_one_way_latency(self):
+        oneway = pingpong_single("madmpi", MX_MYRI10G, size=1024,
+                                 iters=200, warmup=1)
+        assert oneway == 5.082577777777872
+
+    def test_random_traffic_makespan(self):
+        spec = TrafficSpec(n_messages=300, n_flows=6, n_tags=4,
+                           min_size=16, max_size=8 * KB,
+                           large_fraction=0.05, burst_prob=0.8)
+        pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,),
+                                 strategy="aggregation")
+        replay(pair, generate_messages(spec, seed=7), verify_content=False)
+        assert pair.sim.now == 8685.436
+
+
+def _perf_payload(window=80.0, loop=1.05, storm=12.0, rounds=5000):
+    """A ``repro perf`` payload reduced to what :func:`check_bench` reads."""
+    return {"results": {
+        "window_ops": {"backlog": 1000, "rounds": rounds,
+                       "speedup_vs_legacy": window},
+        "event_loop": {"events": 200_000, "speedup_vs_legacy": loop},
+        "kernel_storm": {"rounds": 600, "fanout": 1024, "stragglers": 8,
+                         "speedup_vs_legacy": storm},
+    }}
+
+
+class TestCheckBench:
+    def test_identical_run_passes(self):
+        assert check_bench(_perf_payload(), _perf_payload()) == []
+
+    def test_ratio_below_tolerance_fails(self):
+        baseline = _perf_payload(window=80.0)
+        assert check_bench(_perf_payload(window=40.0), baseline) == []
+        failures = check_bench(_perf_payload(window=39.9), baseline)
+        assert len(failures) == 1
+        assert failures[0].startswith("window_ops: speedup_vs_legacy")
+
+    def test_storm_floor_holds_below_a_lower_baseline(self):
+        baseline = _perf_payload(storm=STORM_SPEEDUP_FLOOR / 2)
+        failures = check_bench(_perf_payload(storm=9.0), baseline)
+        assert len(failures) == 1
+        assert "below the hard 10x floor" in failures[0]
+
+    def test_shape_mismatch_is_skipped_not_failed(self):
+        quick = _perf_payload(window=1.0, rounds=500)
+        assert check_bench(quick, _perf_payload(window=80.0)) == []
+
+    def test_missing_ratio_fails(self):
+        fresh = _perf_payload()
+        del fresh["results"]["event_loop"]
+        failures = check_bench(fresh, _perf_payload())
+        assert failures == [
+            "event_loop: speedup_vs_legacy missing from the fresh run"]
+
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.0, 1.5])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ReproError):
+            check_bench(_perf_payload(), _perf_payload(), tolerance)

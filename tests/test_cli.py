@@ -201,18 +201,28 @@ class TestReport:
         with pytest.raises(SystemExit):
             run_cli("report", "--slow-link", "0.5", "--messages", "5")
 
+    def test_nan_rel_timeout_rejected(self):
+        # Regression: a NaN RTO livelocked the replay instead of failing.
+        with pytest.raises(SystemExit,
+                           match="invalid engine configuration"):
+            run_cli("report", "--reliability", "ack", "--rel-timeout", "nan",
+                    "--messages", "5")
+
 
 class TestReportPartitionGroup:
     def test_stat_groups_cover_every_engine_counter(self):
-        # The grouped table is asserted complete against EngineStats at
-        # payload-build time; mirror it here so a new counter that is not
-        # slotted into a group fails loudly in both places.
+        # The groups come from EngineStats field metadata, so each counter
+        # is in exactly one group and the report lists them in the order
+        # the dataclass declares them.
         import dataclasses
 
         from repro.core.engine import EngineStats
 
-        grouped = {f for _, fields in REPORT_STAT_GROUPS for f in fields}
-        assert grouped == {f.name for f in dataclasses.fields(EngineStats)}
+        grouped = [f for _, fields in REPORT_STAT_GROUPS for f in fields]
+        assert grouped == [f.name for f in dataclasses.fields(EngineStats)]
+        assert [group for group, _ in REPORT_STAT_GROUPS] == [
+            "core", "reliability", "flow_control", "sessions", "partition",
+            "adaptive"]
 
     def test_json_report_includes_partition_counters(self):
         code, text = run_cli("report", "--sessions", "epoch",

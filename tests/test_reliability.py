@@ -7,6 +7,8 @@ never reach the application, a dead rail fails over mid-transfer, and an
 undeliverable frame fails only its own request.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import EngineParams, NmadEngine
@@ -417,8 +419,20 @@ class TestOffModeUnchanged:
         with pytest.raises(ValueError):
             EngineParams(rel_timeout_us=0.0)
         with pytest.raises(ValueError):
-            EngineParams(rel_backoff=0.5)
-        with pytest.raises(ValueError):
             EngineParams(rel_retry_budget=0)
         with pytest.raises(ValueError):
             EngineParams(rel_quarantine_threshold=0)
+
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in dataclasses.fields(EngineParams)
+        if isinstance(f.default, float)))
+    def test_every_float_field_rejects_nan(self, name):
+        # Regression: a NaN RTO gave every frame a NaN deadline that the
+        # timer never expired but kept re-arming at the same timestamp,
+        # so the simulation livelocked instead of failing fast.
+        with pytest.raises(ValueError):
+            EngineParams(reliability="ack", **{name: float("nan")})
+
+    def test_nan_per_tech_cost_rejected(self):
+        with pytest.raises(ValueError, match="negative scheduler cost"):
+            EngineParams(per_mtu_cost_by_tech=(("mx", float("nan")),))
