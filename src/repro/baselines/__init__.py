@@ -2,7 +2,7 @@
 
 from repro.baselines.base import BaselineMpi, BaselineParams
 from repro.baselines.mpich import MPICH_MX, MPICH_QUADRICS, MpichMpi
-from repro.baselines.openmpi import OPENMPI_MX, OpenMpi
+from repro.baselines.openmpi import OPENMPI_MX, OPENMPI_QUADRICS, OpenMpi
 
 __all__ = [
     "BaselineMpi",
@@ -11,5 +11,6 @@ __all__ = [
     "MPICH_QUADRICS",
     "MpichMpi",
     "OPENMPI_MX",
+    "OPENMPI_QUADRICS",
     "OpenMpi",
 ]

@@ -30,8 +30,11 @@ paper itself:
   documentation, we guess that OpenMPI has the same behaviour" — but
   measures it distinctly faster than MPICH, which chunk overlap explains).
 
-The same request/communicator/datatype objects as MAD-MPI are used, so the
-benchmark harness drives every backend through one interface.
+A baseline rank is an :class:`~repro.madmpi.mpi.MpiRank`, like MAD-MPI's:
+the two share every MPI call (probing, completion, the blocking calls, the
+revoked-communicator fence) and differ only in how ``isend``/``irecv``
+reach the NIC, so the benchmark harness and the collectives drive every
+backend through one surface.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from repro.core.data import SegmentData, VirtualData, as_data
 from repro.core.matching import Incoming, Matcher
@@ -48,14 +50,13 @@ from repro.core.requests import ANY, RecvRequest
 from repro.errors import MpiError, ProtocolError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
+from repro.madmpi.mpi import BufferLike, MpiRank
 from repro.madmpi.request import MpiRequest
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.node import Node
 from repro.sim import Tracer
 
 __all__ = ["BaselineParams", "BaselineMpi"]
-
-BufferLike = SegmentData | bytes | bytearray | memoryview | int
 
 
 @dataclass(frozen=True)
@@ -153,22 +154,18 @@ class _RdvRecv:
         self.unpack_free_at = 0.0
 
 
-class BaselineMpi:
+class BaselineMpi(MpiRank):
     """One rank of a baseline MPI implementation (rail 0 only).
 
     Subclasses provide ``params`` via the constructor; the class itself is
     fully functional and is what the tests exercise directly.
     """
 
-    backend_name = "baseline"
-
     def __init__(self, node: Node, params: BaselineParams,
                  world: Communicator, tracer: Tracer | None = None) -> None:
+        super().__init__(node.sim, node.node_id, world)
         self.node = node
-        self.sim = node.sim
         self.params = params
-        self.world = world
-        self.rank = world.rank_of(node.node_id)
         self.tracer = tracer if tracer is not None else node.tracer
         self.nic = node.nic(0)
         self.nic.set_receive_handler(self._on_frame)
@@ -193,9 +190,9 @@ class BaselineMpi:
         priority: int = 0,  # accepted for interface parity; ignored
     ) -> MpiRequest:
         """Nonblocking send: immediately mapped onto NIC commands."""
-        comm = comm if comm is not None else self.world
+        comm = self._live_comm(comm)
         dest_node = comm.node_of(dest)
-        if dest_node == self.node.node_id:
+        if dest_node == self.node_id:
             raise MpiError(f"{self.params.name}: self-send not supported")
         if datatype is not None:
             return self._isend_typed(data, dest_node, tag, comm, datatype)
@@ -218,10 +215,10 @@ class BaselineMpi:
         self._seq[(dest_node, flow)] += 1
         req = MpiRequest(self.sim.event(), kind="send")
         if seg.nbytes <= self.params.eager_threshold:
-            msg = _Eager(src=self.node.node_id, flow=flow, tag=tag, seq=seq,
+            msg = _Eager(src=self.node_id, flow=flow, tag=tag, seq=seq,
                          data=seg, unpack_blocks=unpack_blocks)
             wire = self.params.header_bytes + seg.nbytes
-            frame = Frame(src_node=self.node.node_id, dst_node=dest_node,
+            frame = Frame(src_node=self.node_id, dst_node=dest_node,
                           kind=FrameKind.DATA, wire_size=wire, payload=msg,
                           payload_size=seg.nbytes)
             if pack_delay_us > 0:
@@ -247,10 +244,10 @@ class BaselineMpi:
         # Stash the chunk size on the state via closure in _stream_granted.
         self._rdv_pending[handle] = state
         self.rdv_handshakes += 1
-        msg = _RdvReq(src=self.node.node_id, flow=flow, tag=tag, seq=seq,
+        msg = _RdvReq(src=self.node_id, flow=flow, tag=tag, seq=seq,
                       handle=handle, nbytes=seg.nbytes,
                       unpack_blocks=unpack_blocks)
-        frame = Frame(src_node=self.node.node_id, dst_node=dest_node,
+        frame = Frame(src_node=self.node_id, dst_node=dest_node,
                       kind=FrameKind.RDV_REQ,
                       wire_size=self.params.header_bytes + 24, payload=msg,
                       payload_size=0)
@@ -301,7 +298,7 @@ class BaselineMpi:
         datatype: Datatype | None = None,
     ) -> MpiRequest:
         """Post a receive.  Typed receives land packed and pay the unpack."""
-        comm = comm if comm is not None else self.world
+        comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
         capacity = nbytes
         if datatype is not None:
@@ -312,19 +309,10 @@ class BaselineMpi:
         req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
 
         def _finish(evt):
-            if not evt.ok:
-                evt.defuse()
-                exc = evt.exception
-                assert exc is not None
-                req.done.fail(exc)
-                return
-            assert sub.actual_src is not None
             req.data = sub.data
             if datatype is not None and sub.data is not None:
                 req.block_data = self._split_blocks(sub.data, datatype)
-            req.set_status(source=comm.rank_of(sub.actual_src),
-                           tag=sub.actual_tag, count=sub.actual_len)
-            req.done.succeed(req)
+            self._complete_recv(evt, req, comm, sub)
 
         sub.done.add_callback(_finish)
         self.matcher.post(sub)
@@ -339,77 +327,6 @@ class BaselineMpi:
             out.append(data.slice(cursor, length))
             cursor += length
         return out
-
-    # -- probing (same semantics as MAD-MPI) --------------------------------
-    def iprobe(self, source: int = ANY, tag: int = ANY,
-               comm: Communicator | None = None):
-        """Nonblocking probe: (source_rank, tag, nbytes) or None."""
-        comm = comm if comm is not None else self.world
-        src_node = ANY if source == ANY else comm.node_of(source)
-        inc = self.matcher.peek(src_node, comm.id, tag)
-        if inc is None:
-            return None
-        return comm.rank_of(inc.src), inc.tag, inc.nbytes
-
-    def probe(self, source: int = ANY, tag: int = ANY,
-              comm: Communicator | None = None):
-        """Blocking probe (process style)."""
-        comm = comm if comm is not None else self.world
-        src_node = ANY if source == ANY else comm.node_of(source)
-        event = self.sim.event(name=f"probe:{source}/{tag}")
-        self.matcher.watch(src_node, comm.id, tag, event)
-        inc = yield event
-        return comm.rank_of(inc.src), inc.tag, inc.nbytes
-
-    def sendrecv(self, send_data: BufferLike, dest: int, source: int = ANY,
-                 sendtag: int = 0, recvtag: int = ANY,
-                 comm: Communicator | None = None,
-                 nbytes: int | None = None):
-        """MPI_Sendrecv: simultaneous, deadlock-free exchange."""
-        rreq = self.irecv(source=source, tag=recvtag, comm=comm,
-                          nbytes=nbytes)
-        sreq = self.isend(send_data, dest, tag=sendtag, comm=comm)
-        yield self.sim.all_of([rreq.done, sreq.done])
-        return rreq
-
-    def wait_any(self, requests: Sequence[MpiRequest]):
-        """Wait for the first completed request; returns (index, request)."""
-        if not requests:
-            raise MpiError("wait_any on an empty request list")
-        yield self.sim.any_of([r.done for r in requests])
-        for idx, req in enumerate(requests):
-            if req.complete:
-                return idx, req
-        raise MpiError("wait_any woke without a complete request")
-
-    # -- completion (same helpers as MAD-MPI) ------------------------------
-    def wait(self, request: MpiRequest):
-        yield request.done
-        return request
-
-    def wait_all(self, requests: Sequence[MpiRequest]):
-        yield self.sim.all_of([r.done for r in requests])
-        return list(requests)
-
-    @staticmethod
-    def test(request: MpiRequest) -> bool:
-        return request.complete
-
-    def send(self, data: BufferLike, dest: int, tag: int = 0,
-             comm: Communicator | None = None,
-             datatype: Datatype | None = None):
-        req = self.isend(data, dest, tag=tag, comm=comm, datatype=datatype)
-        yield req.done
-        return req
-
-    def recv(self, source: int = ANY, tag: int = ANY,
-             comm: Communicator | None = None,
-             nbytes: int | None = None,
-             datatype: Datatype | None = None):
-        req = self.irecv(source=source, tag=tag, comm=comm, nbytes=nbytes,
-                         datatype=datatype)
-        yield req.done
-        return req
 
     # ----------------------------------------------------------- frame path
     def _on_frame(self, frame: Frame) -> None:
@@ -453,8 +370,8 @@ class BaselineMpi:
             self._rdv_incoming[key] = _RdvRecv(
                 sub, total=inc.item.nbytes, tag=inc.tag, src=inc.src,
                 unpack_blocks=unpack_blocks)
-            ack = _RdvAck(src=self.node.node_id, handle=inc.item.handle)
-            frame = Frame(src_node=self.node.node_id, dst_node=inc.item.src,
+            ack = _RdvAck(src=self.node_id, handle=inc.item.handle)
+            frame = Frame(src_node=self.node_id, dst_node=inc.item.src,
                           kind=FrameKind.RDV_ACK,
                           wire_size=self.params.header_bytes + 16,
                           payload=ack, payload_size=0)
@@ -491,9 +408,9 @@ class BaselineMpi:
         offset = state.next_offset
         n = min(chunk_size, state.total - offset)
         state.next_offset += n
-        msg = _RdvData(src=self.node.node_id, handle=handle, offset=offset,
+        msg = _RdvData(src=self.node_id, handle=handle, offset=offset,
                        total=state.total, data=state.data.slice(offset, n))
-        frame = Frame(src_node=self.node.node_id, dst_node=state.dest,
+        frame = Frame(src_node=self.node_id, dst_node=state.dest,
                       kind=FrameKind.RDV_DATA,
                       wire_size=self.params.header_bytes + 16 + n,
                       payload=msg, payload_size=n)
@@ -559,6 +476,3 @@ class BaselineMpi:
         for offset, data in state.pieces:
             buf[offset:offset + data.nbytes] = data.tobytes()
         return Bytes(bytes(buf))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.params.name} rank={self.rank} node={self.node.node_id}>"

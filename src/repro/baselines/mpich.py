@@ -35,9 +35,7 @@ MPICH_QUADRICS = BaselineParams(
 
 
 class MpichMpi(BaselineMpi):
-    """MPICH model; pass the params matching the network under test."""
-
-    backend_name = "MPICH"
+    """MPICH model; the params default to the ones for rail 0's technology."""
 
     def __init__(self, node: Node, world: Communicator,
                  params: BaselineParams | None = None,

@@ -18,7 +18,7 @@ from repro.netsim.node import Node
 from repro.netsim.units import KB
 from repro.sim import Tracer
 
-__all__ = ["OpenMpi", "OPENMPI_MX"]
+__all__ = ["OpenMpi", "OPENMPI_MX", "OPENMPI_QUADRICS"]
 
 #: OpenMPI 1.1 over MX.
 OPENMPI_MX = BaselineParams(
@@ -29,14 +29,24 @@ OPENMPI_MX = BaselineParams(
     dt_pipeline_chunk=64 * KB,
 )
 
+#: OpenMPI over Quadrics (not shown in the paper's Quadrics figures, but
+#: available for completeness).
+OPENMPI_QUADRICS = BaselineParams(
+    name="OpenMPI-Quadrics",
+    sw_overhead_us=0.60,
+    header_bytes=16,
+    eager_threshold=16 * KB,
+    dt_pipeline_chunk=64 * KB,
+)
+
 
 class OpenMpi(BaselineMpi):
-    """OpenMPI 1.1 model."""
-
-    backend_name = "OpenMPI"
+    """OpenMPI 1.1 model; the params default to the ones for rail 0's technology."""
 
     def __init__(self, node: Node, world: Communicator,
                  params: BaselineParams | None = None,
                  tracer: Tracer | None = None) -> None:
-        super().__init__(node, params if params is not None else OPENMPI_MX,
-                         world, tracer=tracer)
+        if params is None:
+            params = OPENMPI_MX if node.nic(0).profile.tech == "mx" \
+                else OPENMPI_QUADRICS
+        super().__init__(node, params, world, tracer=tracer)

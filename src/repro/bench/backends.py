@@ -1,10 +1,11 @@
 """Uniform construction of benchmark backends.
 
-Every backend exposes the same interface (``isend``/``irecv``/``wait``/
-``send``/``recv`` generators returning :class:`~repro.madmpi.request.MpiRequest`),
-so the ping-pong programs in :mod:`repro.bench.pingpong` are written once
-and run against MAD-MPI and both baselines — the structure of the paper's
-evaluation.
+Every backend is a :class:`~repro.madmpi.mpi.MpiRank` (``isend``/``irecv``
+plus the shared ``wait``/``send``/``recv`` generators returning
+:class:`~repro.madmpi.request.MpiRequest`), so the ping-pong programs in
+:mod:`repro.bench.pingpong` are written once and run against MAD-MPI and
+both baselines — the structure of the paper's evaluation.  Each baseline
+picks its own parameters from the rail's technology.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.baselines import (
-    MPICH_MX,
-    MPICH_QUADRICS,
-    OPENMPI_MX,
-    BaselineParams,
-    MpichMpi,
-    OpenMpi,
-)
+from repro.baselines import MpichMpi, OpenMpi
 from repro.core import EngineParams, NmadEngine
 from repro.errors import ReproError
 from repro.madmpi import Communicator, MadMpi
@@ -30,16 +24,6 @@ __all__ = ["BackendPair", "make_backend_pair", "BACKENDS", "backend_label"]
 
 #: Known backend keys.
 BACKENDS = ("madmpi", "mpich", "openmpi", "madmpi-fifo")
-
-#: OpenMPI constants when running over Quadrics (not shown in the paper's
-#: Quadrics figures, but available for completeness).
-OPENMPI_QUADRICS = BaselineParams(
-    name="OpenMPI-Quadrics",
-    sw_overhead_us=0.60,
-    header_bytes=16,
-    eager_threshold=16 * 1024,
-    dt_pipeline_chunk=64 * 1024,
-)
 
 
 @dataclass
@@ -90,7 +74,6 @@ def make_backend_pair(
     cluster = Cluster(sim, n_nodes=2, rails=tuple(rails), tracer=tracer,
                       topology=topology)
     world = Communicator([0, 1])
-    tech = rails[0].tech
     if backend == "madmpi" or backend == "madmpi-fifo":
         strat = "fifo" if backend == "madmpi-fifo" else strategy
         ranks = [
@@ -101,14 +84,10 @@ def make_backend_pair(
             )
             for i in range(2)
         ]
-    elif backend == "mpich":
-        params = MPICH_MX if tech == "mx" else MPICH_QUADRICS
-        ranks = [MpichMpi(cluster.node(i), world, params=params,
-                          tracer=tracer) for i in range(2)]
-    elif backend == "openmpi":
-        params = OPENMPI_MX if tech == "mx" else OPENMPI_QUADRICS
-        ranks = [OpenMpi(cluster.node(i), world, params=params,
-                         tracer=tracer) for i in range(2)]
+    elif backend in ("mpich", "openmpi"):
+        model = MpichMpi if backend == "mpich" else OpenMpi
+        ranks = [model(cluster.node(i), world, tracer=tracer)
+                 for i in range(2)]
     else:
         raise ReproError(f"unknown backend {backend!r}; known: {BACKENDS}")
     return BackendPair(sim=sim, cluster=cluster, world=world, ranks=ranks,

@@ -18,8 +18,9 @@ lives in :mod:`repro.core.interface`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.core.collect import CollectLayer
@@ -69,6 +70,19 @@ RX_ORDER = (("sessions", "on_frame"), ("reliability", "on_frame"),
 #: the estimator's ``srtt + 4*rttvar`` is multiplied by this before the
 #: clamp, so a queue building up behind a frame does not time it out.
 RTO_HEADROOM = 2.0
+
+
+def _require_int(params: EngineParams, low: int, *names: str) -> None:
+    """Reject a field of ``names`` that is not an ``int`` >= ``low``.
+
+    A plain ``x < low`` check lets NaN (which fails every comparison) and
+    fractions through; a NaN retry budget is never exhausted.
+    """
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -199,15 +213,18 @@ class EngineParams:
                  *(cost for _, cost in self.per_mtu_cost_by_tech))
         if not all(cost >= 0 for cost in costs):
             raise ValueError("negative scheduler cost")
+        if math.inf in costs:
+            raise ValueError("infinite scheduler cost")
+        _require_int(self, 1, "backlog_flush_threshold", "rdv_chunk_bytes",
+                     "rel_retry_budget", "rel_quarantine_threshold",
+                     "credit_bytes", "credit_wraps")
+        _require_int(self, 0, "max_window_wraps", "max_window_bytes",
+                     "max_unexpected_bytes")
         if self.dispatch_policy not in ("on_idle", "anticipate", "backlog"):
             raise ValueError(
                 f"unknown dispatch policy {self.dispatch_policy!r}; "
                 "expected on_idle | anticipate | backlog"
             )
-        if self.backlog_flush_threshold < 1:
-            raise ValueError("backlog_flush_threshold must be >= 1")
-        if self.rdv_chunk_bytes <= 0:
-            raise ValueError("rendezvous chunk must be positive")
         if self.reliability not in ("off", "ack"):
             raise ValueError(
                 f"unknown reliability mode {self.reliability!r}; "
@@ -240,12 +257,8 @@ class EngineParams:
                 "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
                 "delay is a quantile of the measured RTT"
             )
-        if self.rel_retry_budget < 1:
-            raise ValueError("retry budget must be >= 1")
         if not self.rel_ack_delay_us >= 0:
             raise ValueError("negative ack delay")
-        if self.rel_quarantine_threshold < 1:
-            raise ValueError("quarantine threshold must be >= 1")
         if not self.rel_probe_after_us >= 0:
             raise ValueError("rail probe delay must be >= 0")
         if self.flow_control not in ("off", "credit"):
@@ -253,21 +266,15 @@ class EngineParams:
                 f"unknown flow control mode {self.flow_control!r}; "
                 "expected off | credit"
             )
-        if self.credit_bytes < 1 or self.credit_wraps < 1:
-            raise ValueError("credit budgets must be positive")
         if not self.credit_grant_delay_us >= 0:
             raise ValueError("negative credit grant delay")
         if not self.nack_delay_us >= 0:
             raise ValueError("negative nack delay")
-        if self.max_window_wraps < 0 or self.max_window_bytes < 0:
-            raise ValueError("negative window cap")
         if self.window_policy not in ("block", "fail"):
             raise ValueError(
                 f"unknown window policy {self.window_policy!r}; "
                 "expected block | fail"
             )
-        if self.max_unexpected_bytes < 0:
-            raise ValueError("negative unexpected-bytes budget")
         if self.max_unexpected_bytes and self.flow_control != "credit":
             raise ValueError(
                 "max_unexpected_bytes needs flow_control='credit': a "
@@ -289,6 +296,14 @@ class EngineParams:
                 "timeout shorter than two monitor ticks declares a peer "
                 "dead before a single probe could round-trip"
             )
+        # Every other float field ends up as a kernel delay, and the kernel
+        # cannot schedule at t=inf.  In ``rel_probe_after_us`` inf means
+        # "never re-probe" and never reaches the kernel.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isinf(value) \
+                    and f.name != "rel_probe_after_us":
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     @property
     def rel_adaptive(self) -> bool:

@@ -43,8 +43,7 @@ def _comm_of(mpi, comm: Communicator | None) -> Communicator:
 
 
 def _rank(mpi, comm: Communicator) -> int:
-    return comm.rank_of(mpi.engine.node_id) if hasattr(mpi, "engine") \
-        else comm.rank_of(mpi.node.node_id)
+    return comm.rank_of(mpi.node_id)
 
 
 def bcast(mpi, data: bytes | None, root: int = 0,

@@ -19,32 +19,47 @@ from collections.abc import Sequence
 
 from repro.core.data import SegmentData, VirtualData, as_data
 from repro.core.engine import NmadEngine
-from repro.core.requests import ANY
+from repro.core.matching import Matcher
+from repro.core.requests import ANY, RecvRequest
 from repro.errors import CommRevokedError, MpiError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
 from repro.madmpi.request import MpiRequest
+from repro.sim import Event, Simulator
 
-__all__ = ["MadMpi", "ANY"]
+__all__ = ["MpiRank", "MadMpi", "ANY"]
 
 
 BufferLike = SegmentData | bytes | bytearray | memoryview | int
 
 
-class MadMpi:
-    """One rank's MPI endpoint, backed by a :class:`NmadEngine`."""
+class MpiRank:
+    """The MPI surface every backend shares: one rank of ``world``.
 
-    #: Backend identifier used in benchmark reports.
-    backend_name = "MadMPI"
+    MAD-MPI and the baseline models differ only in how ``isend`` and
+    ``irecv`` reach the NIC; probing, completion and the blocking calls
+    are written once here against those two and against ``matcher``, the
+    rank's receive-side matching engine (set by the subclass).
+    """
 
-    def __init__(self, engine: NmadEngine, world: Communicator) -> None:
-        self.engine = engine
+    matcher: Matcher
+
+    def __init__(self, sim: Simulator, node_id: int,
+                 world: Communicator) -> None:
+        self.sim = sim
+        self.node_id = node_id
         self.world = world
-        self.rank = world.rank_of(engine.node_id)
+        self.rank = world.rank_of(node_id)
 
-    @property
-    def sim(self):
-        return self.engine.sim
+    def isend(self, data: BufferLike, dest: int, tag: int = 0,
+              comm: Communicator | None = None,
+              datatype: Datatype | None = None) -> MpiRequest:
+        raise NotImplementedError
+
+    def irecv(self, source: int = ANY, tag: int = ANY,
+              comm: Communicator | None = None, nbytes: int | None = None,
+              datatype: Datatype | None = None) -> MpiRequest:
+        raise NotImplementedError
 
     def _live_comm(self, comm: Communicator | None) -> Communicator:
         """Resolve the default communicator and fence revoked ones.
@@ -59,6 +74,119 @@ class MadMpi:
                 "after a peer failure; shrink() it to continue"
             )
         return comm
+
+    @staticmethod
+    def _complete_recv(evt: Event, req: MpiRequest, comm: Communicator,
+                       sub: RecvRequest, count: int | None = None) -> None:
+        """Settle ``req`` once its matching-level receive event ``evt`` fired.
+
+        On failure the sub-event is defused (the application sees the
+        exception through ``req``) and ``req`` fails.  On success ``req``
+        takes its status from ``sub`` (``count`` defaults to ``sub``'s
+        length) and succeeds; the caller has already filled in the data.
+        """
+        if not evt.ok:
+            evt.defuse()
+            exc = evt.exception
+            assert exc is not None
+            req.done.fail(exc)
+            return
+        assert sub.actual_src is not None
+        req.set_status(source=comm.rank_of(sub.actual_src),
+                       tag=sub.actual_tag,
+                       count=sub.actual_len if count is None else count)
+        req.done.succeed(req)
+
+    # -- probing -----------------------------------------------------------------
+    def iprobe(self, source: int = ANY, tag: int = ANY,
+               comm: Communicator | None = None):
+        """Nonblocking probe: (source_rank, tag, nbytes) or None.
+
+        Like MPI_Iprobe, never consumes the message.
+        """
+        comm = self._live_comm(comm)
+        src_node = ANY if source == ANY else comm.node_of(source)
+        inc = self.matcher.peek(src_node, comm.id, tag)
+        if inc is None:
+            return None
+        return comm.rank_of(inc.src), inc.tag, inc.nbytes
+
+    def probe(self, source: int = ANY, tag: int = ANY,
+              comm: Communicator | None = None):
+        """Blocking probe (process style): waits for a matching message."""
+        comm = self._live_comm(comm)
+        src_node = ANY if source == ANY else comm.node_of(source)
+        event = self.sim.event(name=f"probe:{source}/{tag}")
+        self.matcher.watch(src_node, comm.id, tag, event)
+        inc = yield event
+        return comm.rank_of(inc.src), inc.tag, inc.nbytes
+
+    # -- combined send/receive ------------------------------------------------------
+    def sendrecv(self, send_data: BufferLike, dest: int, source: int = ANY,
+                 sendtag: int = 0, recvtag: int = ANY,
+                 comm: Communicator | None = None,
+                 nbytes: int | None = None):
+        """MPI_Sendrecv: simultaneous, deadlock-free exchange."""
+        rreq = self.irecv(source=source, tag=recvtag, comm=comm,
+                          nbytes=nbytes)
+        sreq = self.isend(send_data, dest, tag=sendtag, comm=comm)
+        yield self.sim.all_of([rreq.done, sreq.done])
+        return rreq
+
+    # -- completion --------------------------------------------------------------
+    def wait_any(self, requests: Sequence[MpiRequest]):
+        """Wait for the first completed request; returns (index, request)."""
+        if not requests:
+            raise MpiError("wait_any on an empty request list")
+        yield self.sim.any_of([r.done for r in requests])
+        for idx, req in enumerate(requests):
+            if req.complete:
+                return idx, req
+        raise MpiError("wait_any woke without a complete request")
+
+    def wait(self, request: MpiRequest):
+        """Blocking wait (process style: ``yield from mpi.wait(req)``)."""
+        yield request.done
+        return request
+
+    def wait_all(self, requests: Sequence[MpiRequest]):
+        """Wait for every request in ``requests``."""
+        yield self.sim.all_of([r.done for r in requests])
+        return list(requests)
+
+    @staticmethod
+    def test(request: MpiRequest) -> bool:
+        """Nonblocking completion check (MPI_Test)."""
+        return request.complete
+
+    # -- blocking conveniences -----------------------------------------------------
+    def send(self, data: BufferLike, dest: int, tag: int = 0,
+             comm: Communicator | None = None,
+             datatype: Datatype | None = None):
+        req = self.isend(data, dest, tag=tag, comm=comm, datatype=datatype)
+        yield req.done
+        return req
+
+    def recv(self, source: int = ANY, tag: int = ANY,
+             comm: Communicator | None = None,
+             nbytes: int | None = None,
+             datatype: Datatype | None = None):
+        req = self.irecv(source=source, tag=tag, comm=comm, nbytes=nbytes,
+                         datatype=datatype)
+        yield req.done
+        return req
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} rank={self.rank} node={self.node_id}>"
+
+
+class MadMpi(MpiRank):
+    """One rank's MPI endpoint, backed by a :class:`NmadEngine`."""
+
+    def __init__(self, engine: NmadEngine, world: Communicator) -> None:
+        super().__init__(engine.sim, engine.node_id, world)
+        self.engine = engine
+        self.matcher = engine.matcher
 
     # -- point-to-point ---------------------------------------------------
     def isend(
@@ -136,17 +264,8 @@ class MadMpi:
             req = MpiRequest(self.sim.event(), kind="recv")
 
             def _finish(evt):
-                if not evt.ok:
-                    evt.defuse()
-                    exc = evt.exception
-                    assert exc is not None
-                    req.done.fail(exc)
-                    return
-                assert sub.actual_src is not None
                 req.data = sub.data
-                req.set_status(source=comm.rank_of(sub.actual_src),
-                               tag=sub.actual_tag, count=sub.actual_len)
-                req.done.succeed(req)
+                self._complete_recv(evt, req, comm, sub)
 
             sub.done.add_callback(_finish)
             return req
@@ -158,105 +277,16 @@ class MadMpi:
                               nbytes=length, deadline_us=deadline_us)
             for _, length in blocks
         ]
-        done = self.sim.event()
-        req = MpiRequest(done, kind="recv", datatype=datatype)
-        gathered = self.sim.all_of([s.done for s in subs])
+        req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
 
         def _finish_typed(evt):
-            if not evt.ok:
-                evt.defuse()
-                exc = evt.exception
-                assert exc is not None
-                done.fail(exc)
-                return
-            req.block_data = [s.data for s in subs]
-            first = subs[0]
-            assert first.actual_src is not None
-            req.set_status(source=comm.rank_of(first.actual_src),
-                           tag=first.actual_tag,
-                           count=sum(s.actual_len for s in subs))
-            done.succeed(req)
+            count: int | None = None
+            if evt.ok:
+                req.block_data = [s.data for s in subs]
+                count = sum(s.actual_len for s in subs)
+            self._complete_recv(evt, req, comm, subs[0], count)
 
-        gathered.add_callback(_finish_typed)
-        return req
-
-    # -- probing -----------------------------------------------------------------
-    def iprobe(self, source: int = ANY, tag: int = ANY,
-               comm: Communicator | None = None):
-        """Nonblocking probe: (source_rank, tag, nbytes) or None.
-
-        Like MPI_Iprobe, never consumes the message.
-        """
-        comm = self._live_comm(comm)
-        src_node = ANY if source == ANY else comm.node_of(source)
-        inc = self.engine.matcher.peek(src_node, comm.id, tag)
-        if inc is None:
-            return None
-        return comm.rank_of(inc.src), inc.tag, inc.nbytes
-
-    def probe(self, source: int = ANY, tag: int = ANY,
-              comm: Communicator | None = None):
-        """Blocking probe (process style): waits for a matching message."""
-        comm = self._live_comm(comm)
-        src_node = ANY if source == ANY else comm.node_of(source)
-        event = self.sim.event(name=f"probe:{source}/{tag}")
-        self.engine.matcher.watch(src_node, comm.id, tag, event)
-        inc = yield event
-        return comm.rank_of(inc.src), inc.tag, inc.nbytes
-
-    # -- combined send/receive ------------------------------------------------------
-    def sendrecv(self, send_data: BufferLike, dest: int, source: int = ANY,
-                 sendtag: int = 0, recvtag: int = ANY,
-                 comm: Communicator | None = None,
-                 nbytes: int | None = None):
-        """MPI_Sendrecv: simultaneous, deadlock-free exchange."""
-        rreq = self.irecv(source=source, tag=recvtag, comm=comm,
-                          nbytes=nbytes)
-        sreq = self.isend(send_data, dest, tag=sendtag, comm=comm)
-        yield self.sim.all_of([rreq.done, sreq.done])
-        return rreq
-
-    # -- completion --------------------------------------------------------------
-    def wait_any(self, requests: Sequence[MpiRequest]):
-        """Wait for the first completed request; returns (index, request)."""
-        if not requests:
-            raise MpiError("wait_any on an empty request list")
-        yield self.sim.any_of([r.done for r in requests])
-        for idx, req in enumerate(requests):
-            if req.complete:
-                return idx, req
-        raise MpiError("wait_any woke without a complete request")
-
-    def wait(self, request: MpiRequest):
-        """Blocking wait (process style: ``yield from mpi.wait(req)``)."""
-        yield request.done
-        return request
-
-    def wait_all(self, requests: Sequence[MpiRequest]):
-        """Wait for every request in ``requests``."""
-        yield self.sim.all_of([r.done for r in requests])
-        return list(requests)
-
-    @staticmethod
-    def test(request: MpiRequest) -> bool:
-        """Nonblocking completion check (MPI_Test)."""
-        return request.complete
-
-    # -- blocking conveniences -----------------------------------------------------
-    def send(self, data: BufferLike, dest: int, tag: int = 0,
-             comm: Communicator | None = None,
-             datatype: Datatype | None = None):
-        req = self.isend(data, dest, tag=tag, comm=comm, datatype=datatype)
-        yield req.done
-        return req
-
-    def recv(self, source: int = ANY, tag: int = ANY,
-             comm: Communicator | None = None,
-             nbytes: int | None = None,
-             datatype: Datatype | None = None):
-        req = self.irecv(source=source, tag=tag, comm=comm, nbytes=nbytes,
-                         datatype=datatype)
-        yield req.done
+        self.sim.all_of([s.done for s in subs]).add_callback(_finish_typed)
         return req
 
     # -- helpers --------------------------------------------------------------------
@@ -272,6 +302,3 @@ class MadMpi:
                 f"{seg.nbytes}B buffer"
             )
         return seg.slice(disp, length)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MadMpi rank={self.rank} node={self.engine.node_id}>"

@@ -14,7 +14,7 @@ operate across rails of a single cluster.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import NetworkError
 from repro.netsim.fabric import (
@@ -182,22 +182,10 @@ class Cluster:
         rack_switches = self._rack_switches[rack]
         interior = {sw.node_id for sw in rack_switches}
         interior.update(self.racks[rack])
-        installed = 0
-        for link in self.links:
-            inside_src = link.src.node_id in interior
-            inside_dst = link.dst.node_id in interior
-            if inside_src == inside_dst:
-                continue
-            plan = link.fault_plan
-            if plan is None:
-                link.fault_plan = FaultPlan(partitions=((from_us, until_us),))
-            elif isinstance(plan, FaultPlan):
-                plan.add_partition(from_us, until_us)
-            else:
-                raise NetworkError(
-                    f"{link.name} carries a bare callable fault injector; "
-                    "partitions compose only with FaultPlan")
-            installed += 1
+        installed = self._install_partition(
+            (link for link in self.links
+             if (link.src.node_id in interior) != (link.dst.node_id in interior)),
+            from_us, until_us)
         self.tracer.emit(self.sim.now, "cluster", "rack_partition",
                          rack=rack, hosts=list(self.racks[rack]),
                          from_us=from_us, until_us=until_us, links=installed)
@@ -260,18 +248,35 @@ class Cluster:
                         f"node {node_id} appears in more than one "
                         "partition group")
                 membership[node_id] = gidx
-        installed = 0
-        for link in self.links:
+
+        def _severed(link: Link) -> bool:
             ga = membership.get(link.src.node_id)
             gb = membership.get(link.dst.node_id)
-            if ga is None or gb is None or ga == gb:
-                continue
-            if one_way and ga > gb:
-                continue
+            return (ga is not None and gb is not None and ga != gb
+                    and not (one_way and ga > gb))
+
+        installed = self._install_partition(filter(_severed, self.links),
+                                            from_us, until_us)
+        if installed:
+            self.tracer.emit(self.sim.now, "cluster", "partition",
+                             groups=[list(g) for g in groups],
+                             from_us=from_us, until_us=until_us,
+                             one_way=one_way, links=installed)
+        return installed
+
+    @staticmethod
+    def _install_partition(links: Iterable[Link], from_us: float,
+                           until_us: float | None) -> int:
+        """Append ``[from_us, until_us)`` to each link's :class:`FaultPlan`.
+
+        A link without a plan gets a fresh one.  Returns the number of
+        links the window was installed on.
+        """
+        installed = 0
+        for link in links:
             plan = link.fault_plan
             if plan is None:
-                link.fault_plan = FaultPlan(
-                    partitions=((from_us, until_us),))
+                link.fault_plan = FaultPlan(partitions=((from_us, until_us),))
             elif isinstance(plan, FaultPlan):
                 plan.add_partition(from_us, until_us)
             else:
@@ -279,11 +284,6 @@ class Cluster:
                     f"{link.name} carries a bare callable fault injector; "
                     "partitions compose only with FaultPlan")
             installed += 1
-        if installed:
-            self.tracer.emit(self.sim.now, "cluster", "partition",
-                             groups=[list(g) for g in groups],
-                             from_us=from_us, until_us=until_us,
-                             one_way=one_way, links=installed)
         return installed
 
     def rail_index(self, tech_or_name: str) -> int:

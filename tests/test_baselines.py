@@ -6,12 +6,13 @@ from repro.baselines import (
     MPICH_MX,
     MPICH_QUADRICS,
     OPENMPI_MX,
+    OPENMPI_QUADRICS,
     BaselineParams,
     MpichMpi,
     OpenMpi,
 )
 from repro.core import VirtualData
-from repro.errors import MpiError
+from repro.errors import CommRevokedError, MpiError
 from repro.madmpi import ANY, Communicator, Indexed, indexed_small_large
 from repro.netsim import Cluster, MX_MYRI10G, QUADRICS_QM500
 from repro.sim import Simulator
@@ -256,3 +257,27 @@ class TestProfilesAndParams:
     def test_openmpi_default_params(self):
         _, _, (o0, _) = make_pair(cls=OpenMpi)
         assert o0.params is OPENMPI_MX
+
+    def test_openmpi_params_follow_nic_tech(self):
+        # Regression: OpenMpi ignored the rail and always chose the MX
+        # constants; only the benchmark harness knew the Quadrics ones.
+        _, _, (o0, _) = make_pair(cls=OpenMpi, rails=(QUADRICS_QM500,))
+        assert o0.params is OPENMPI_QUADRICS
+
+
+class TestRevokedCommunicator:
+    def test_baseline_fails_fast_on_a_revoked_communicator(self):
+        # Regression: the baselines resolved communicators without the
+        # revoked check, so they silently sent on a fenced communicator
+        # where MAD-MPI raises.
+        _, _, (m0, _) = make_pair()
+        comm = m0.world.dup()
+        comm.revoke()
+        with pytest.raises(CommRevokedError):
+            m0.isend(b"x", dest=1, comm=comm)
+        with pytest.raises(CommRevokedError):
+            m0.irecv(source=1, comm=comm)
+        with pytest.raises(CommRevokedError):
+            m0.iprobe(source=1, comm=comm)
+        # The live world communicator is unaffected.
+        assert m0.iprobe(source=1) is None

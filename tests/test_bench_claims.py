@@ -84,3 +84,14 @@ class TestVerdicts:
         assert Verdict(claim, 1.5).passed
         assert not Verdict(claim, 2.5).passed
         assert Verdict(claim, 1.0).passed  # inclusive bounds
+
+
+class TestRealSweeps:
+    def test_every_paper_claim_holds(self):
+        # The real sweeps over MAD-MPI and both baseline models (what
+        # ``repro validate`` runs), not hand-built data: a change to any
+        # backend that moves a figure out of its band fails here.
+        verdicts = evaluate_claims()
+        assert len(verdicts) == len(CLAIMS) == 9
+        failed = [v for v in verdicts if not v.passed]
+        assert not failed, render_verdicts(failed)

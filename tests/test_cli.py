@@ -208,6 +208,14 @@ class TestReport:
             run_cli("report", "--reliability", "ack", "--rel-timeout", "nan",
                     "--messages", "5")
 
+    def test_inf_rel_timeout_rejected(self):
+        # Regression: an infinite RTO was accepted, and the replay stalled
+        # ("cannot schedule at t=inf") after sending one packet.
+        with pytest.raises(SystemExit,
+                           match="invalid engine configuration"):
+            run_cli("report", "--reliability", "ack", "--rel-timeout", "inf",
+                    "--messages", "5")
+
 
 class TestReportPartitionGroup:
     def test_stat_groups_cover_every_engine_counter(self):

@@ -8,6 +8,7 @@ undeliverable frame fails only its own request.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -436,3 +437,28 @@ class TestOffModeUnchanged:
     def test_nan_per_tech_cost_rejected(self):
         with pytest.raises(ValueError, match="negative scheduler cost"):
             EngineParams(per_mtu_cost_by_tech=(("mx", float("nan")),))
+
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in dataclasses.fields(EngineParams)
+        if isinstance(f.default, float) and f.name != "rel_probe_after_us"))
+    def test_every_float_field_rejects_inf(self, name):
+        # Regression: every float field ends up as a kernel delay, and an
+        # infinite one stalled the run ("cannot schedule at t=inf")
+        # instead of being rejected as a configuration error.
+        with pytest.raises(ValueError):
+            EngineParams(reliability="ack", **{name: math.inf})
+
+    def test_inf_per_tech_cost_rejected(self):
+        with pytest.raises(ValueError, match="infinite scheduler cost"):
+            EngineParams(per_mtu_cost_by_tech=(("mx", math.inf),))
+
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in dataclasses.fields(EngineParams)
+        if type(f.default) is int))
+    def test_every_int_field_rejects_nan_and_fractions(self, name):
+        # Regression: ``x < 1`` range checks let NaN and fractions through;
+        # a NaN retry budget made ``retries >= budget`` never true.
+        for bad in (float("nan"), 2.5):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                EngineParams(reliability="ack", flow_control="credit",
+                             **{name: bad})
